@@ -25,8 +25,9 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use revmatch::{
-    check_witness_sat_budgeted_with, check_witness_sat_with, random_wide_instance, Equivalence,
-    FamilyMiter, MatchWitness, MiterEncoding, PromiseInstance, Side, SolverBackend, WitnessFamily,
+    check_witness_sat_budgeted_with, check_witness_sat_with, random_instance, random_wide_instance,
+    sweep_family, Equivalence, FamilyMiter, MatchWitness, MiterEncoding, PromiseInstance, Side,
+    SolverBackend, WitnessFamily,
 };
 use revmatch_circuit::NegationMask;
 use revmatch_sat::{AssumedSolve, CdclSolver, SatOptions, Solve, Solver};
@@ -469,6 +470,97 @@ fn family_sweep_summary() {
     }
 }
 
+/// Families per width in the served-mix sweep measurement.
+const SERVED_FAMILIES: u64 = 4;
+
+/// The served enumerate mix: warm N-I family sweeps at widths 5–6 on
+/// synthesized uniform functions, the per-shard solver-cache steady
+/// state the serving layer spends its SAT time in. Each option set gets
+/// its own retained solvers (one cold sweep each, untimed); the timed
+/// region re-sweeps every family, best of 7 interleaved rounds so drift
+/// hits all sets alike.
+///
+/// The acceptance bar: **the default `ALL` within 1.3× of the fastest
+/// set** — the features must not tax the mix they are shipped to, with
+/// every set reporting bit-identical witnesses.
+fn served_mix_summary() {
+    // The default first: the floor compares everything against it.
+    let sets: Vec<SatOptions> = ["all", "none", "lbd", "lbd,xor", "lbd,inproc"]
+        .into_iter()
+        .map(|label| label.parse().expect("valid option list"))
+        .collect();
+    let family = WitnessFamily::InputNegation;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    let pairs: Vec<PromiseInstance> = [5usize, 6]
+        .into_iter()
+        .flat_map(|width| (0..SERVED_FAMILIES).map(move |_| width))
+        .map(|width| random_instance(family.equivalence(), width, &mut rng))
+        .collect();
+    let mut cached: Vec<Vec<(FamilyMiter, CdclSolver)>> = sets
+        .iter()
+        .map(|&opts| {
+            pairs
+                .iter()
+                .map(|p| {
+                    let miter = FamilyMiter::build(&p.c1, &p.c2, family).expect("encodable");
+                    let mut solver = CdclSolver::new(&miter.cnf)
+                        .with_options(opts)
+                        .with_branch_hint(miter.input_hint());
+                    sweep_family(&mut solver, &miter, None).expect("cold sweep");
+                    (miter, solver)
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut best = vec![f64::INFINITY; sets.len()];
+    let mut witnesses: Vec<Vec<Vec<MatchWitness>>> = vec![Vec::new(); sets.len()];
+    for _ in 0..7 {
+        for (i, solvers) in cached.iter_mut().enumerate() {
+            let start = Instant::now();
+            let found: Vec<Vec<MatchWitness>> = solvers
+                .iter_mut()
+                .map(|(miter, solver)| {
+                    sweep_family(solver, miter, None)
+                        .expect("warm sweep")
+                        .witnesses
+                })
+                .collect();
+            best[i] = best[i].min(start.elapsed().as_secs_f64());
+            witnesses[i] = found;
+        }
+    }
+
+    println!(
+        "\n== served mix: warm N-I family sweeps, {} families at w5–6 (cached solvers) ==",
+        pairs.len()
+    );
+    println!(
+        "{:>15} {:>12} {:>10}",
+        "options", "warm sweeps", "gauss rows"
+    );
+    for (i, opts) in sets.iter().enumerate() {
+        let rows: usize = cached[i].iter().map(|(_, s)| s.xor_rows()).sum();
+        println!(
+            "{:>15} {:>10.2}ms {rows:>10}",
+            opts.to_string(),
+            best[i] * 1e3
+        );
+        assert_eq!(
+            witnesses[i], witnesses[0],
+            "{opts}: witnesses drifted from the default set"
+        );
+    }
+    let fastest = best.iter().copied().fold(f64::INFINITY, f64::min);
+    let ratio = best[0] / fastest;
+    println!("{:>15} {ratio:>11.2}x", "default/fastest");
+    assert!(
+        ratio <= 1.3,
+        "acceptance bar: the default options must be within 1.3x of the fastest set on \
+         the served mix (got {ratio:.2}x)"
+    );
+}
+
 criterion_group!(benches, bench_miter_backends);
 
 fn main() {
@@ -478,4 +570,5 @@ fn main() {
     option_matrix_summary();
     verdict_stream_summary();
     family_sweep_summary();
+    served_mix_summary();
 }

@@ -480,11 +480,13 @@ fn main() {
     if m.jobs_sat_verified() > 0 || m.jobs_completed_of(JobKind::Enumerate) > 0 {
         println!(
             "sat core [{}]: glue kept {} | learned db {} | xors extracted {} | \
-             inprocess {:.2}ms",
+             gauss rows {} | inprocess {} runs, {:.2}ms",
             revmatch_sat::active_sat_opts_label(),
             m.sat_glue_kept(),
             m.sat_learned_db_size(),
             m.sat_xors_extracted(),
+            m.sat_gauss_rows_installed(),
+            m.sat_inprocess_runs(),
             m.sat_inprocess_micros() as f64 / 1000.0,
         );
     }

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use revmatch_quantum::QuantumBackend;
+use revmatch_sat::CdclSolver;
 
 use crate::engine::JobKind;
 
@@ -25,6 +26,32 @@ const KINDS: usize = JobKind::ALL.len();
 
 /// Number of [`QuantumBackend`]s — sizes the per-backend job counters.
 const QBACKENDS: usize = QuantumBackend::ALL.len();
+
+/// A CDCL solver's introspection figures at one instant. The service
+/// samples a cached solver before and after each job; the lifetime
+/// counters then enter the metrics as per-job deltas.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SatCoreSample {
+    glue_kept: u64,
+    learned_db: u64,
+    xors_extracted: u64,
+    gauss_rows: u64,
+    inprocess_runs: u64,
+    inprocess_us: u64,
+}
+
+impl SatCoreSample {
+    pub(crate) fn of(solver: &CdclSolver) -> Self {
+        Self {
+            glue_kept: solver.glue_clauses() as u64,
+            learned_db: solver.num_learned() as u64,
+            xors_extracted: solver.xors_extracted() as u64,
+            gauss_rows: solver.xor_rows() as u64,
+            inprocess_runs: solver.inprocess_runs() as u64,
+            inprocess_us: solver.inprocess_micros(),
+        }
+    }
+}
 
 /// A fixed-bucket cumulative histogram over `u64` samples.
 ///
@@ -250,6 +277,11 @@ pub struct Metrics {
     sat_learned_db: AtomicU64,
     /// XOR constraints extracted across all solver builds.
     sat_xors_extracted: AtomicU64,
+    /// Gauss rows installed across all solver builds (0 for a build
+    /// whose layer the fill-in gate skipped).
+    sat_gauss_rows: AtomicU64,
+    /// Solver inprocessing passes run.
+    sat_inprocess_runs: AtomicU64,
     /// Microseconds spent in solver inprocessing passes.
     sat_inprocess_us: AtomicU64,
     table_cache_hits: AtomicU64,
@@ -312,6 +344,8 @@ impl Metrics {
             sat_glue_kept: AtomicU64::new(0),
             sat_learned_db: AtomicU64::new(0),
             sat_xors_extracted: AtomicU64::new(0),
+            sat_gauss_rows: AtomicU64::new(0),
+            sat_inprocess_runs: AtomicU64::new(0),
             sat_inprocess_us: AtomicU64::new(0),
             table_cache_hits: AtomicU64::new(0),
             solver_cache_hits: AtomicU64::new(0),
@@ -451,23 +485,24 @@ impl Metrics {
         }
     }
 
-    /// Samples a CDCL solver's internals after a solve: glue and
-    /// learned-DB sizes are live gauges (last sample wins — they
-    /// describe the solver the service just ran), while the XOR and
-    /// inprocessing figures are deltas accumulated into totals.
-    pub(crate) fn record_sat_core(
-        &self,
-        glue_kept: u64,
-        learned_db: u64,
-        xors_delta: u64,
-        inprocess_delta_us: u64,
-    ) {
-        self.sat_glue_kept.store(glue_kept, Ordering::Relaxed);
-        self.sat_learned_db.store(learned_db, Ordering::Relaxed);
-        self.sat_xors_extracted
-            .fetch_add(xors_delta, Ordering::Relaxed);
-        self.sat_inprocess_us
-            .fetch_add(inprocess_delta_us, Ordering::Relaxed);
+    /// Records a CDCL solver's internals sampled around one job: glue
+    /// and learned-DB sizes are live gauges (last sample wins — they
+    /// describe the solver the service just ran), while the XOR, Gauss
+    /// and inprocessing figures are deltas accumulated into totals.
+    pub(crate) fn record_sat_core(&self, before: SatCoreSample, after: SatCoreSample) {
+        self.sat_glue_kept.store(after.glue_kept, Ordering::Relaxed);
+        self.sat_learned_db
+            .store(after.learned_db, Ordering::Relaxed);
+        let add = |total: &AtomicU64, field: fn(&SatCoreSample) -> u64| {
+            total.fetch_add(
+                field(&after).saturating_sub(field(&before)),
+                Ordering::Relaxed,
+            );
+        };
+        add(&self.sat_xors_extracted, |s| s.xors_extracted);
+        add(&self.sat_gauss_rows, |s| s.gauss_rows);
+        add(&self.sat_inprocess_runs, |s| s.inprocess_runs);
+        add(&self.sat_inprocess_us, |s| s.inprocess_us);
     }
 
     /// Counts dense-table cache hits in a worker's oracle setup.
@@ -591,6 +626,16 @@ impl Metrics {
     /// XOR constraints extracted across all solver builds.
     pub fn sat_xors_extracted(&self) -> u64 {
         self.sat_xors_extracted.load(Ordering::Relaxed)
+    }
+
+    /// Gauss rows installed across all solver builds.
+    pub fn sat_gauss_rows_installed(&self) -> u64 {
+        self.sat_gauss_rows.load(Ordering::Relaxed)
+    }
+
+    /// Solver inprocessing passes run.
+    pub fn sat_inprocess_runs(&self) -> u64 {
+        self.sat_inprocess_runs.load(Ordering::Relaxed)
     }
 
     /// Microseconds spent in solver inprocessing passes.
@@ -761,6 +806,16 @@ impl Metrics {
                 "revmatch_sat_xors_extracted_total",
                 "XOR constraints extracted across all solver builds.",
                 self.sat_xors_extracted(),
+            ),
+            (
+                "revmatch_sat_gauss_rows_installed_total",
+                "Gauss rows installed across all solver builds.",
+                self.sat_gauss_rows_installed(),
+            ),
+            (
+                "revmatch_sat_inprocess_runs_total",
+                "Solver inprocessing passes run.",
+                self.sat_inprocess_runs(),
             ),
             (
                 "revmatch_table_cache_hits_total",
@@ -1110,8 +1165,17 @@ mod tests {
         m.record_reject();
         m.record_sat_verify(false);
         m.record_sat_verify(true);
-        m.record_sat_core(3, 17, 2, 1_500);
-        m.record_sat_core(5, 20, 0, 500);
+        let sample =
+            |glue_kept, learned_db, xors_extracted, gauss_rows, inprocess_us| SatCoreSample {
+                glue_kept,
+                learned_db,
+                xors_extracted,
+                gauss_rows,
+                inprocess_runs: 1,
+                inprocess_us,
+            };
+        m.record_sat_core(SatCoreSample::default(), sample(3, 17, 2, 4, 1_500));
+        m.record_sat_core(sample(0, 0, 2, 4, 1_500), sample(5, 20, 2, 4, 2_000));
         m.record_table_cache_hits(4);
         m.record_solver_cache_hit();
         m.record_table_compile(7);
@@ -1143,6 +1207,8 @@ mod tests {
             "revmatch_sat_glue_kept 5",
             "revmatch_sat_learned_db_size 20",
             "revmatch_sat_xors_extracted_total 2",
+            "revmatch_sat_gauss_rows_installed_total 4",
+            "revmatch_sat_inprocess_runs_total 1",
             "revmatch_sat_inprocess_seconds_total 0.002",
             "revmatch_sat_opts_info{opts=\"",
             "revmatch_jobs_promise_total 1",

@@ -107,6 +107,7 @@ use crate::verify::VerifyMode;
 use crate::witness::MatchWitness;
 use admission::Admission;
 use cache::ShardCaches;
+use metrics::SatCoreSample;
 use queue::ShardedQueue;
 use rebalance::{LaneHeat, RebalanceState};
 
@@ -839,14 +840,10 @@ impl Shared {
                     if hit {
                         self.metrics.record_solver_cache_hit();
                     }
-                    let (xors0, inproc0) = (solver.xors_extracted(), solver.inprocess_micros());
+                    let before = SatCoreSample::of(solver);
                     let swept = sweep_family(solver, &miter, Some(self.miter_budget));
-                    self.metrics.record_sat_core(
-                        solver.glue_clauses() as u64,
-                        solver.num_learned() as u64,
-                        (solver.xors_extracted() - xors0) as u64,
-                        solver.inprocess_micros() - inproc0,
-                    );
+                    self.metrics
+                        .record_sat_core(before, SatCoreSample::of(solver));
                     swept
                 }
                 // Stateless, but under the same per-solve budget: a hard
@@ -918,7 +915,7 @@ impl Shared {
                 if hit {
                     self.metrics.record_solver_cache_hit();
                 }
-                let (xors0, inproc0) = (solver.xors_extracted(), solver.inprocess_micros());
+                let before = SatCoreSample::of(solver);
                 solver.set_budget(Some(self.miter_budget));
                 let outcome = solver.solve_budgeted();
                 let stats = SolveStats {
@@ -926,12 +923,8 @@ impl Shared {
                     conflicts: solver.conflicts(),
                     propagations: solver.propagations(),
                 };
-                self.metrics.record_sat_core(
-                    solver.glue_clauses() as u64,
-                    solver.num_learned() as u64,
-                    (solver.xors_extracted() - xors0) as u64,
-                    solver.inprocess_micros() - inproc0,
-                );
+                self.metrics
+                    .record_sat_core(before, SatCoreSample::of(solver));
                 miter.verdict_from(outcome, stats)
             }
         };

@@ -296,6 +296,8 @@ fn exposition_parses_and_is_internally_consistent() {
         "revmatch_sat_glue_kept",
         "revmatch_sat_learned_db_size",
         "revmatch_sat_xors_extracted_total",
+        "revmatch_sat_gauss_rows_installed_total",
+        "revmatch_sat_inprocess_runs_total",
         "revmatch_sat_inprocess_seconds_total",
     ] {
         assert!(value_of(&first, series, "") >= 0.0, "{series} negative");

@@ -11,11 +11,17 @@
 
 use rand::SeedableRng;
 use revmatch_circuit::{NegationMask, NpTransform};
+use revmatch_sat::{random_ksat, AssumedSolve, CdclSolver, Lit, Solve, Var};
 
 use revmatch::{
-    job_seed, random_instance, EnumerateJob, Equivalence, JobSpec, MatchError, MatchService,
-    MatchWitness, MiterVerdict, SatEquivalenceJob, SatOptions, ServiceConfig, Side, WitnessFamily,
+    job_seed, random_instance, random_wide_instance, sweep_family, EnumerateJob, Equivalence,
+    FamilyMiter, JobSpec, MatchError, MatchService, MatchWitness, MiterEncoding, MiterVerdict,
+    PromiseInstance, SatEquivalenceJob, SatOptions, ServiceConfig, Side, WitnessFamily,
 };
+
+/// Conflicts between inprocessing passes after the first solve call
+/// (the solver's cadence constant, mirrored for the cadence tests).
+const INPROC_CONFLICTS: usize = 2_000;
 
 /// Canonical, comparable digest of one job's report: the full verdict
 /// surface a caller can observe, minus timings and queue accounting.
@@ -67,7 +73,39 @@ fn workload(seed: u64) -> Vec<JobSpec> {
             )));
         }
     }
+    for (planted, family) in low_fill_families(seed) {
+        jobs.push(JobSpec::Enumerate(EnumerateJob::new(
+            planted.c1, planted.c2, family,
+        )));
+    }
     jobs
+}
+
+/// Planted negation families whose miters keep the Gauss layer: the
+/// synthesized uniform functions of `random_instance` eliminate into
+/// wide rows (past the layer's fill-in cap) from width 5 on, while
+/// short MCT cascades stay sparse. These keep the layer under the
+/// differential test on the incremental (assumption) path.
+fn low_fill_families(seed: u64) -> Vec<(PromiseInstance, WitnessFamily)> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x10F1);
+    let mut out = Vec::new();
+    for width in [5usize, 6] {
+        for family in [WitnessFamily::InputNegation, WitnessFamily::OutputNegation] {
+            let planted = random_wide_instance(family.equivalence(), width, 3 * width, &mut rng);
+            out.push((planted, family));
+        }
+    }
+    out
+}
+
+/// A cached-solver stand-in: the family miter's CDCL solver under the
+/// full option set, as the serving layer builds it.
+fn family_solver(planted: &PromiseInstance, family: WitnessFamily) -> (FamilyMiter, CdclSolver) {
+    let miter = FamilyMiter::build(&planted.c1, &planted.c2, family).expect("encodable width");
+    let solver = CdclSolver::new(&miter.cnf)
+        .with_options(SatOptions::ALL)
+        .with_branch_hint(miter.input_hint());
+    (miter, solver)
 }
 
 /// Runs the workload on one service configuration and digests reports.
@@ -114,6 +152,17 @@ fn sat_options_and_sharding_are_verdict_invisible() {
     // Planted enumerations must find at least the planted witness.
     for o in baseline.iter().filter(|o| o.witness_count.is_some()) {
         assert!(o.witness_count.unwrap() >= 1, "planted family lost: {o:?}");
+    }
+
+    // The low-fill families really run with the Gauss layer installed.
+    for (planted, family) in low_fill_families(0x9A7_0915) {
+        let (miter, mut solver) = family_solver(&planted, family);
+        sweep_family(&mut solver, &miter, None).expect("planted family sweeps");
+        assert!(
+            solver.xor_rows() > 0,
+            "{family:?} w{}: layer not installed",
+            planted.c1.width()
+        );
     }
 
     // Every upgrade on at each shard fan-out, plus one mixed cell; the
@@ -192,4 +241,93 @@ fn proven_witnesses_round_trip_bit_identical() {
         assert!(matches!(report.witness, Err(MatchError::PromiseViolated)));
     }
     service.shutdown();
+}
+
+/// The Gauss layer's fill-in gate: the served N-I family miters (w6
+/// synthesized functions) extract plenty of XORs but eliminate into
+/// wide rows, so no rows are installed; the width-14 one-shot miter the
+/// width-ceiling bench proves stays sparse and keeps its rows.
+#[test]
+fn gauss_layer_installs_only_where_elimination_stays_sparse() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+    let planted = random_instance(WitnessFamily::InputNegation.equivalence(), 6, &mut rng);
+    let (miter, mut solver) = family_solver(&planted, WitnessFamily::InputNegation);
+    let found = sweep_family(&mut solver, &miter, None).expect("planted family sweeps");
+    assert!(found.count() >= 1);
+    assert!(
+        solver.xors_extracted() > 0,
+        "the miter's XORs were not extracted"
+    );
+    assert_eq!(solver.xor_rows(), 0, "a high-fill layer was installed");
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let inst = random_wide_instance(Equivalence::new(Side::N, Side::P), 14, 42, &mut rng);
+    let miter = MiterEncoding::build(&inst.c1, &inst.c2, &inst.witness).expect("widths agree");
+    let mut solver = CdclSolver::new(&miter.cnf)
+        .with_options(SatOptions::ALL)
+        .with_branch_hint(miter.input_hint());
+    assert_eq!(solver.solve(), Solve::Unsat);
+    assert!(
+        solver.xor_rows() > 0,
+        "the width-14 layer must stay installed"
+    );
+}
+
+/// Inprocessing is conflict-driven: a warm re-sweep of a cached family
+/// solver (answered by propagation) runs no pass at all.
+#[test]
+fn warm_family_sweeps_skip_inprocessing() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+    let planted = random_instance(WitnessFamily::InputNegation.equivalence(), 6, &mut rng);
+    let (miter, mut solver) = family_solver(&planted, WitnessFamily::InputNegation);
+    let cold = sweep_family(&mut solver, &miter, None).expect("planted family sweeps");
+    let runs = solver.inprocess_runs();
+    assert!(runs >= 1, "the first solve call always inprocesses");
+    let warm = sweep_family(&mut solver, &miter, None).expect("planted family sweeps");
+    assert_eq!(warm.witnesses, cold.witnesses);
+    assert_eq!(solver.inprocess_runs(), runs, "a warm sweep ran a pass");
+}
+
+/// Inprocessing still runs on solvers that keep learning: once
+/// [`INPROC_CONFLICTS`] conflicts accumulate since the last pass, the
+/// next solve call runs another one — and only then. A random 3-SAT
+/// formula under shifting assumptions keeps one solver learning across
+/// calls, as a cached solver serving hard candidates would.
+#[test]
+fn inprocessing_reruns_after_the_conflict_threshold() {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let formula = random_ksat(150, 600, 3, &mut rng);
+    let mut solver = CdclSolver::new(&formula).with_options(SatOptions::ALL);
+    let (mut expected_runs, mut since_pass, mut total) = (1, 0, 0);
+    for _ in 0..30 {
+        if since_pass >= INPROC_CONFLICTS {
+            expected_runs += 1;
+            since_pass = 0;
+        }
+        let assumptions: Vec<Lit> = (0..4)
+            .map(|_| {
+                let v = Var(rng.gen_range(0..150));
+                if rng.gen_bool(0.5) {
+                    Lit::positive(v)
+                } else {
+                    Lit::negative(v)
+                }
+            })
+            .collect();
+        if let AssumedSolve::Sat(model) = solver.solve_under(&assumptions) {
+            assert!(formula.eval(&model), "bogus model");
+        }
+        assert_eq!(
+            solver.inprocess_runs(),
+            expected_runs,
+            "after {total} conflicts"
+        );
+        since_pass += solver.conflicts();
+        total += solver.conflicts();
+    }
+    assert!(
+        expected_runs >= 2,
+        "only {total} conflicts learned: the threshold was never crossed"
+    );
 }

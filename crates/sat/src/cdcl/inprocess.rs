@@ -1,11 +1,11 @@
 //! Bounded inprocessing: occurrence-list subsumption and self-subsuming
 //! resolution between solve calls.
 //!
-//! Long-lived solvers (the serving layer's per-shard cache, PR 5's
-//! family sweeps) accumulate thousands of learned clauses across calls;
-//! many are supersets of later, sharper lemmas and only slow
-//! propagation down. Between calls — at level 0, where every assignment
-//! is a permanent fact and no clause is a reason — this pass walks the
+//! Long-lived solvers (the serving layer's per-shard cache, family
+//! sweeps) accumulate thousands of learned clauses across calls; many
+//! are supersets of later, sharper lemmas and only slow propagation
+//! down. Between calls — at level 0, where every assignment is a
+//! permanent fact and no clause is a reason — this pass walks the
 //! database with literal occurrence lists and:
 //!
 //! * **subsumption**: deletes any clause `D ⊇ C` (the subset `C` alone
@@ -19,7 +19,17 @@
 //! The pass is budgeted in literal visits ([`INPROC_BUDGET`]) so a call
 //! never stalls the serving path: occurrence-list construction is one
 //! linear sweep, and the quadratic candidate scans stop when the budget
-//! runs dry. Because clause deletion and strengthening both preserve
+//! runs dry.
+//!
+//! The cadence is conflict-driven: the first solve call always runs a
+//! pass (catching cold one-shot solves), and later calls run one only
+//! once [`INPROC_CONFLICTS`] conflicts have been learned since the last
+//! pass. Learned clauses are what the pass simplifies, so a warm solver
+//! answering by propagation alone has nothing new to offer it — and a
+//! pass would cost it an occurrence-list rebuild plus the backtrack to
+//! level 0 that discards the reusable assumption prefix.
+//!
+//! Because clause deletion and strengthening both preserve
 //! logical equivalence, incremental assumption semantics, later
 //! [`CdclSolver::analyze_final`] cores, and the XOR layer's rows (linear
 //! combinations of implied parities) all stay sound.
@@ -28,29 +38,27 @@ use std::time::Instant;
 
 use super::{CdclSolver, GLUE_LBD, VAL_FALSE, VAL_TRUE};
 
-/// Solve calls between inprocessing passes (the first call always
-/// simplifies, catching cold one-shot solves).
-const INPROC_INTERVAL: usize = 16;
+/// Conflicts learned since the last pass before another one runs (the
+/// first solve call always simplifies, catching cold one-shot solves).
+const INPROC_CONFLICTS: usize = 2_000;
 /// Literal visits allowed per pass across all candidate scans.
 const INPROC_BUDGET: i64 = 200_000;
 
 impl CdclSolver {
-    /// Runs a bounded inprocessing pass when the cadence says so: on the
-    /// first solve, then every [`INPROC_INTERVAL`] solve calls.
-    pub(super) fn maybe_inprocess(&mut self) {
-        if self.solves != 1 && self.solves < self.next_inproc {
-            return;
-        }
-        self.next_inproc = self.solves + INPROC_INTERVAL;
-        self.inprocess();
+    /// Whether the cadence calls for a pass before the current solve
+    /// call: on the first call, then after [`INPROC_CONFLICTS`]
+    /// conflicts since the last pass.
+    pub(super) fn inprocess_due(&self) -> bool {
+        self.opts.inproc && (self.solves == 1 || self.inproc_conflicts >= INPROC_CONFLICTS)
     }
 
     /// One subsumption + self-subsuming-resolution pass — see the
     /// [module docs](self).
-    fn inprocess(&mut self) {
+    pub(super) fn inprocess(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         let t0 = Instant::now();
         self.inproc_runs += 1;
+        self.inproc_conflicts = 0;
         // Settle level-0 propagation first; a conflict here refutes the
         // formula outright.
         if self.propagate().is_some() {

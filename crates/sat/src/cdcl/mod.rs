@@ -38,16 +38,19 @@
 //!   and in larger proportion. Restarts switch to a Glucose-style
 //!   recent-LBD EMA test (restart while recent conflicts are worse
 //!   than the long-run average) with the Luby schedule as a fallback.
-//! * **Bounded inprocessing** (`inproc`) — between solve calls the
-//!   solver runs occurrence-list subsumption and self-subsuming
-//!   resolution under a strict literal-visit budget, at level 0 only,
-//!   so incremental assumption semantics and `analyze_final` cores
-//!   stay sound ([`CdclSolver::inprocess`] in `inprocess.rs`).
+//! * **Bounded inprocessing** (`inproc`) — between solve calls (the
+//!   first one, then once per ~2k conflicts) the solver runs
+//!   occurrence-list subsumption and self-subsuming resolution under a
+//!   strict literal-visit budget, at level 0 only, so incremental
+//!   assumption semantics and `analyze_final` cores stay sound
+//!   ([`CdclSolver::inprocess`] in `inprocess.rs`).
 //! * **XOR/Gauss reasoning** (`xor`) — parity constraints are
 //!   recovered from the CNF (Tseitin miter XORs, Valiant–Vazirani hash
 //!   parities), Gaussian-eliminated, and kept as matrix rows with two
 //!   watched columns each; rows propagate and *explain* exactly like
 //!   clauses, so conflict analysis runs unchanged on top (`xor.rs`).
+//!   A system whose elimination widens rows past a fill-in cap keeps
+//!   only its level-0 consequences and installs no rows.
 //!
 //! Independently, [`CdclSolver::with_proof`] records a DRAT proof of
 //! UNSAT answers (clause additions and deletions) that the in-tree
@@ -288,10 +291,11 @@ pub struct CdclSolver {
     lbd_ema_slow: f64,
     /// Learned glue clauses (LBD ≤ [`GLUE_LBD`]) currently in the DB.
     glue_clauses: usize,
-    /// Lifetime solve calls, driving the inprocessing cadence.
+    /// Lifetime solve calls (the first one always inprocesses).
     solves: usize,
-    /// Next `solves` value at which inprocessing runs again.
-    next_inproc: usize,
+    /// Conflicts learned since the last inprocessing pass, driving the
+    /// inprocessing cadence.
+    inproc_conflicts: usize,
     /// Inprocessing lifetime statistics.
     inproc_runs: usize,
     inproc_micros: u64,
@@ -355,7 +359,7 @@ impl CdclSolver {
             lbd_ema_slow: 0.0,
             glue_clauses: 0,
             solves: 0,
-            next_inproc: 0,
+            inproc_conflicts: 0,
             inproc_runs: 0,
             inproc_micros: 0,
             inproc_subsumed: 0,
@@ -778,6 +782,8 @@ impl CdclSolver {
     /// feature-layer pass vetoes the reuse because both the XOR build
     /// and inprocessing require the reason-free level 0.
     fn run(&mut self) -> Search {
+        // The previous call's conflicts count toward the next pass.
+        self.inproc_conflicts += self.conflicts;
         self.decisions = 0;
         self.conflicts = 0;
         self.propagations = 0;
@@ -790,8 +796,7 @@ impl CdclSolver {
             self.prev_assumptions.clear();
         }
         let build_xor = self.ok && self.opts.xor && !self.xor_built;
-        let inproc_due =
-            self.ok && self.opts.inproc && (self.solves == 1 || self.solves >= self.next_inproc);
+        let inproc_due = self.ok && self.inprocess_due();
         let keep = if build_xor || inproc_due {
             0
         } else {
@@ -803,7 +808,7 @@ impl CdclSolver {
             self.build_xor_layer();
         }
         if self.ok && inproc_due {
-            self.maybe_inprocess();
+            self.inprocess();
         }
         if !self.ok {
             self.proof_conclude();

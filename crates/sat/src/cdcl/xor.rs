@@ -27,6 +27,14 @@
 //!    propagates the forced polarity (parity of the assigned part).
 //!    A fully-assigned row with the wrong parity is a conflict.
 //!
+//! Elimination can also *widen* rows: a chain of short parities through
+//! shared variables reduces to rows spanning most of the chain. Such a
+//! layer propagates nothing the short CNF triples do not, yet every
+//! watched assignment scans the wide rows. So when the eliminated rows
+//! hold more than [`MAX_FILL_IN`] times the extracted nonzeros, the
+//! layer is not installed; only its level-0 units and contradiction
+//! verdict are kept.
+//!
 //! Rows *explain* like clauses too: the reason for a propagated literal
 //! (or a conflict) is the set of falsified literals of the row's other
 //! variables — exactly the clause the row's parity implies under the
@@ -46,6 +54,15 @@ use super::{CLit, VAL_UNDEF};
 /// layer disables itself rather than grow quadratically.
 const MAX_ROWS: usize = 4096;
 const MAX_COLS: usize = 4096;
+/// Fill-in cap: when the eliminated rows hold more than this multiple
+/// of the extracted rows' nonzeros, the layer is not installed (its
+/// level-0 units and contradiction verdict still apply). Wide rows make
+/// every watched assignment a long column scan and every XOR reason a
+/// long clause, while propagating nothing the short CNF triples do not.
+/// Measured: N-I family miters over synthesized w5–6 functions fill in
+/// 2.9–6.4× and their warm sweeps ran 2.3× slower with the layer; the
+/// w14–20 N-P cascade miters fill in ~1.6× and keep it.
+const MAX_FILL_IN: usize = 2;
 
 /// One parity row: a dense bitset over the layer's columns plus the
 /// required parity (`⊕ cols = parity`).
@@ -209,6 +226,7 @@ pub(super) fn build(
         }
     }
     let extracted = xors.len();
+    let extracted_nnz: usize = xors.iter().map(|(vars, _)| vars.len()).sum();
     if !(2..=MAX_ROWS).contains(&extracted) {
         return XorBuild {
             extracted,
@@ -304,7 +322,8 @@ pub(super) fn build(
             _ => kept.push(row),
         }
     }
-    if kept.is_empty() {
+    let kept_nnz: usize = kept.iter().map(XorRow::count).sum();
+    if kept.is_empty() || kept_nnz > MAX_FILL_IN * extracted_nnz {
         return XorBuild {
             units,
             extracted,
@@ -314,12 +333,11 @@ pub(super) fn build(
 
     let mut layer = XorLayer {
         col_of,
+        watch: vec![Vec::new(); var_of.len()],
         var_of,
-        watch: vec![Vec::new(); kept.len().max(1)],
         row_watch: Vec::with_capacity(kept.len()),
         rows: kept,
     };
-    layer.watch = vec![Vec::new(); layer.var_of.len()];
     for (i, row) in layer.rows.iter().enumerate() {
         let mut it = row.cols();
         let a = it.next().expect("width ≥ 2") as u32;
@@ -454,6 +472,28 @@ mod tests {
         let built = build(3, partial, &[2; 3]);
         assert_eq!(built.extracted, 0);
         assert!(built.layer.is_none());
+    }
+
+    /// `n` chained triples `x₂ᵢ ⊕ x₂ᵢ₊₁ ⊕ x₂ᵢ₊₂ = 1`: back-substitution
+    /// drags every later link into each row, so row `i` ends up
+    /// spanning the rest of the chain.
+    fn chain(n: usize) -> Vec<Vec<CLit>> {
+        (0..n)
+            .flat_map(|i| xor3(2 * i, 2 * i + 1, 2 * i + 2, true))
+            .collect()
+    }
+
+    #[test]
+    fn fill_in_gate_skips_layers_that_eliminate_into_wide_rows() {
+        // 4 links: 12 extracted nonzeros, 4 + 3 + 2 + 1 + 2·4 = 18 after.
+        let built = build(9, chain(4).into_iter(), &[VAL_UNDEF; 9]);
+        assert_eq!(built.extracted, 4);
+        assert_eq!(built.layer.expect("sparse system installs").num_rows(), 4);
+        // 12 links: 36 extracted nonzeros, 12 + 11 + … + 1 + 2·12 = 102.
+        let built = build(25, chain(12).into_iter(), &[VAL_UNDEF; 25]);
+        assert_eq!(built.extracted, 12);
+        assert!(built.layer.is_none(), "a high-fill layer was installed");
+        assert!(!built.contradiction && built.units.is_empty());
     }
 
     #[test]
