@@ -11,18 +11,24 @@
 //! compile ≥ 3× over the old transpose-sweep at width 16. The selected
 //! kernel is logged (`selected kernel: …`) so CI can grep both the
 //! forced-`sliced64` and auto-dispatch runs.
+//!
+//! The identify section times the lattice walk on warm precompiled
+//! oracles against a gate-level reference walk, asserts identical
+//! answers and accounting on every pair, and floors the speedup.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 use revmatch::{
-    job_seed, random_wide_instance, ClassicalOracle, EngineJob, Equivalence, JobReport, JobTicket,
-    MatchEngine, MatchService, MatcherConfig, Oracle, ServiceConfig, Side,
+    check_witness, classify, identify_equivalence_with_oracles, job_seed, random_instance,
+    random_wide_instance, solve_promise, ClassicalOracle, EngineJob, Equivalence, IdentifyOptions,
+    JobReport, JobTicket, MatchEngine, MatchService, MatcherConfig, Oracle, ProblemOracles,
+    ServiceConfig, Side,
 };
 use revmatch_circuit::{
-    active_kernel_name, random_circuit, width_mask, BatchEvaluator, DenseTable, EvalBackend,
-    Kernel, RandomCircuitSpec,
+    active_kernel_name, random_circuit, signatures_compatible, width_mask, BatchEvaluator, Circuit,
+    DenseTable, EvalBackend, Kernel, RandomCircuitSpec,
 };
 
 const PROBES: usize = 4096;
@@ -389,6 +395,135 @@ fn serving_comparison(label: &str, jobs: &[EngineJob]) {
     }
 }
 
+/// One identify pair with warm precompiled oracles, as a serving
+/// worker holds them.
+struct IdentifyPair {
+    c1: Circuit,
+    c2: Circuit,
+    oracles: [Oracle; 4],
+}
+
+/// A pool shaped like perfbench's `match-small` identify jobs: widths
+/// 5–6, classes NP-I, I-P and P-N, four pairs per cell.
+fn identify_pool() -> Vec<IdentifyPair> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let mut pool = Vec::new();
+    for width in [5usize, 6] {
+        for (x, y) in [(Side::Np, Side::I), (Side::I, Side::P), (Side::P, Side::N)] {
+            for _ in 0..4 {
+                let inst = random_instance(Equivalence::new(x, y), width, &mut rng);
+                let o1 = Oracle::precompiled(inst.c1.clone());
+                let o2 = Oracle::precompiled(inst.c2.clone());
+                let (o1_inv, o2_inv) = (o1.inverse_oracle(), o2.inverse_oracle());
+                pool.push(IdentifyPair {
+                    c1: inst.c1,
+                    c2: inst.c2,
+                    oracles: [o1, o2, o1_inv, o2_inv],
+                });
+            }
+        }
+    }
+    pool
+}
+
+/// The walk's answer and accounting, for comparison.
+type WalkOutcome = Option<(Equivalence, revmatch::MatchWitness, u64, usize)>;
+
+/// Gate-level reference for the lattice walk (brute force off): the
+/// Walsh signatures rebuilt from the circuits on every call, the class
+/// order re-sorted, and every candidate gate-simulated by
+/// `check_witness`.
+fn reference_walk(pair: &IdentifyPair, options: &IdentifyOptions, seed: u64) -> WalkOutcome {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let n = pair.c1.width();
+    if !signatures_compatible(&pair.c1, &pair.c2).unwrap() {
+        return None;
+    }
+    let [o1, o2, o1_inv, o2_inv] = &pair.oracles;
+    let oracles = ProblemOracles::with_inverses(o1, o2, o1_inv, o2_inv);
+    let initial = oracles.total_queries();
+    let mut classes: Vec<Equivalence> = Equivalence::all().collect();
+    classes.sort_by_key(|e| (e.search_space(n.min(16)), e.to_string()));
+    let mut classes_tried = 0usize;
+    for e in classes {
+        if !classify(e).is_tractable() {
+            continue;
+        }
+        classes_tried += 1;
+        let Ok(witness) = solve_promise(e, &oracles, &options.config, &mut rng) else {
+            continue;
+        };
+        if witness.conforms_to(e)
+            && check_witness(&pair.c1, &pair.c2, &witness, options.verify, &mut rng).unwrap()
+        {
+            let queries = oracles.total_queries() - initial;
+            return Some((e, witness, queries, classes_tried));
+        }
+    }
+    None
+}
+
+fn table_walk(pair: &IdentifyPair, options: &IdentifyOptions, seed: u64) -> WalkOutcome {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let [o1, o2, o1_inv, o2_inv] = &pair.oracles;
+    let found = identify_equivalence_with_oracles(
+        &pair.c1, &pair.c2, o1, o2, o1_inv, o2_inv, options, &mut rng,
+    )
+    .unwrap();
+    found.map(|id| (id.equivalence, id.witness, id.queries, id.classes_tried))
+}
+
+/// The identify walk on warm dense tables vs the gate-level reference
+/// walk over a `match-small`-shaped pool: identical (class, witness,
+/// queries, classes tried) on every pair, and the table walk ≥ 4× faster
+/// (best of 15 pool passes each).
+fn identify_summary() {
+    let pool = identify_pool();
+    let options = IdentifyOptions {
+        allow_brute_force: false,
+        ..IdentifyOptions::default()
+    };
+    let seed = |i: usize| job_seed(11, i as u64);
+    // The first pass also fills each table's memoized signature digest,
+    // leaving the worker-warm state the timed passes measure.
+    for (i, pair) in pool.iter().enumerate() {
+        let fast = table_walk(pair, &options, seed(i));
+        assert!(fast.is_some(), "planted identify pair {i} must identify");
+        assert_eq!(
+            fast,
+            reference_walk(pair, &options, seed(i)),
+            "table walk diverged from the gate-level reference on pair {i}"
+        );
+    }
+    let time_pool = |walk: fn(&IdentifyPair, &IdentifyOptions, u64) -> WalkOutcome| {
+        let mut best = f64::INFINITY;
+        for _ in 0..15 {
+            let start = Instant::now();
+            for (i, pair) in pool.iter().enumerate() {
+                black_box(walk(pair, &options, seed(i)));
+            }
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        best / pool.len() as f64
+    };
+    let reference = time_pool(reference_walk);
+    let tables = time_pool(table_walk);
+    let ratio = reference / tables;
+    println!(
+        "\n== identify walk, {} w5–6 pairs (NP-I, I-P, P-N), warm precompiled oracles ==",
+        pool.len()
+    );
+    println!(
+        "gate-level reference {:7.1} µs/walk | dense tables {:7.1} µs/walk | {ratio:5.2}x",
+        reference * 1e6,
+        tables * 1e6
+    );
+    assert!(
+        ratio >= 4.0,
+        "acceptance: the table walk must be ≥ 4x the gate-level reference, got {ratio:.2}x"
+    );
+}
+
 criterion_group!(
     benches,
     bench_eval_backends,
@@ -404,5 +539,6 @@ fn main() {
     benches();
     kernel_summary();
     compile_summary();
+    identify_summary();
     speedup_summary();
 }

@@ -307,11 +307,21 @@ const PACKED_COMPILE_MIN_ENTRIES: usize = 512;
 /// assert_eq!(table.apply_batch(&[0b011, 0b101]), vec![0b111, 0b101]);
 /// # Ok::<(), revmatch_circuit::CircuitError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct DenseTable {
     width: usize,
     table: Vec<u64>,
+    /// Memoized [`DenseTable::signature_digest`]; ignored by equality.
+    digest: OnceLock<u64>,
 }
+
+impl PartialEq for DenseTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.width == other.width && self.table == other.table
+    }
+}
+
+impl Eq for DenseTable {}
 
 impl DenseTable {
     /// Compiles the circuit into a dense table with the auto-selected
@@ -377,21 +387,29 @@ impl DenseTable {
                     }
                     #[cfg(target_arch = "x86_64")]
                     if avx && avx2::apply_gates_in_place(gates, &mut table) {
-                        return Ok(Self { width, table });
+                        return Ok(Self::from_entries(width, table));
                     }
                     let _ = avx;
                     apply_gates_in_place_portable(gates, &mut table);
                 } else {
                     #[cfg(target_arch = "x86_64")]
                     if avx && avx2::compile_packed(gates, width, &mut table) {
-                        return Ok(Self { width, table });
+                        return Ok(Self::from_entries(width, table));
                     }
                     let _ = avx;
                     compile_packed_into::<W256>(gates, width, &mut table);
                 }
             }
         }
-        Ok(Self { width, table })
+        Ok(Self::from_entries(width, table))
+    }
+
+    fn from_entries(width: usize, table: Vec<u64>) -> Self {
+        Self {
+            width,
+            table,
+            digest: OnceLock::new(),
+        }
     }
 
     /// Number of lines.
@@ -427,6 +445,15 @@ impl DenseTable {
     /// The raw table (`table[x] = C(x)`).
     pub fn entries(&self) -> &[u64] {
         &self.table
+    }
+
+    /// The table's Walsh-signature digest ([`crate::signature_digest`]),
+    /// computed on first call and memoized: a cached table answers the
+    /// spectral prefilter of every later job for free.
+    pub fn signature_digest(&self) -> u64 {
+        *self
+            .digest
+            .get_or_init(|| crate::walsh::signature_digest(&self.table))
     }
 }
 
@@ -671,6 +698,24 @@ mod tests {
             }
             assert_eq!(DenseTable::compile(&c).unwrap(), reference);
         }
+    }
+
+    #[test]
+    fn equality_ignores_the_digest_memo() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let c = random_circuit(&RandomCircuitSpec::for_width(6), &mut rng);
+        let filled = DenseTable::compile(&c).unwrap();
+        let cold = filled.clone();
+        let digest = filled.signature_digest();
+        assert_eq!(filled.digest.get(), Some(&digest));
+        assert_eq!(cold.digest.get(), None);
+        assert_eq!(filled, cold);
+        assert_eq!(cold, filled);
+        // The memo is the streamed digest of the same entries, and a
+        // clone taken after filling carries it.
+        assert_eq!(digest, crate::walsh::signature_digest(cold.entries()));
+        assert_eq!(cold.signature_digest(), digest);
+        assert_eq!(filled.clone().digest.get(), Some(&digest));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use real::{read_real, write_real};
 pub use synthesis::{synthesize, SynthesisStrategy};
 pub use transform::{LinePermutation, NegationMask, NpTransform};
 pub use truth_table::TruthTable;
-pub use walsh::{signatures_compatible, walsh_spectrum, MatchSignature};
+pub use walsh::{signature_digest, signatures_compatible, walsh_spectrum, MatchSignature};
 
 #[cfg(test)]
 mod proptests {

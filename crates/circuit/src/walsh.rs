@@ -16,6 +16,8 @@
 //! invariant under **all sixteen** X-Y equivalences: a mismatch proves
 //! non-equivalence before any oracle query or search is spent.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use crate::circuit::Circuit;
 use crate::error::CircuitError;
 use crate::truth_table::TruthTable;
@@ -38,17 +40,22 @@ use crate::truth_table::TruthTable;
 /// ```
 pub fn walsh_spectrum(table: &TruthTable, bit: usize) -> Vec<i64> {
     assert!(bit < table.width());
-    let size = table.len();
-    let mut spec: Vec<i64> = (0..size)
-        .map(|x| {
-            if (table.apply(x as u64) >> bit) & 1 == 1 {
-                -1
-            } else {
-                1
-            }
-        })
-        .collect();
+    let mut spec = Vec::new();
+    spectrum_into(table.entries(), bit, &mut spec);
+    spec
+}
+
+/// Fills `spec` with the Walsh spectrum of output bit `bit` of the raw
+/// table `entries`, reusing its allocation.
+fn spectrum_into(entries: &[u64], bit: usize, spec: &mut Vec<i64>) {
+    spec.clear();
+    spec.extend(
+        entries
+            .iter()
+            .map(|&y| if (y >> bit) & 1 == 1 { -1 } else { 1 }),
+    );
     // In-place fast Walsh–Hadamard transform.
+    let size = spec.len();
     let mut h = 1;
     while h < size {
         let mut i = 0;
@@ -62,7 +69,59 @@ pub fn walsh_spectrum(table: &TruthTable, bit: usize) -> Vec<i64> {
         }
         h *= 2;
     }
-    spec
+}
+
+/// Fills `spec` with the sorted absolute Walsh spectrum of output bit
+/// `bit` of `entries`: one entry of a [`MatchSignature`].
+fn sorted_abs_spectrum_into(entries: &[u64], bit: usize, spec: &mut Vec<i64>) {
+    spectrum_into(entries, bit, spec);
+    for w in spec.iter_mut() {
+        *w = w.abs();
+    }
+    spec.sort_unstable();
+}
+
+/// A 64-bit digest of the [`MatchSignature`] of the table `entries`
+/// (`entries[x] = f(x)` over all `2^n` inputs), streamed one output bit
+/// at a time: only one spectrum (`8·2^n` bytes) is live, where the full
+/// signature holds `n` of them.
+///
+/// Equal signatures give equal digests, so unequal digests prove the
+/// tables are not X-Y equivalent under any class. A 64-bit collision
+/// can let a non-equivalent pair through; callers that act on equal
+/// digests must still validate what they find.
+///
+/// # Panics
+///
+/// Panics if `entries.len()` is not a power of two.
+///
+/// # Examples
+///
+/// ```
+/// use revmatch_circuit::{signature_digest, Circuit, Gate};
+///
+/// let toffoli = Circuit::from_gates(3, [Gate::toffoli(0, 1, 2)])?;
+/// let id = Circuit::new(3).truth_table()?;
+/// assert_ne!(signature_digest(toffoli.truth_table()?.entries()), signature_digest(id.entries()));
+/// # Ok::<(), revmatch_circuit::CircuitError>(())
+/// ```
+pub fn signature_digest(entries: &[u64]) -> u64 {
+    assert!(entries.len().is_power_of_two(), "a table covers 2^n inputs");
+    let width = entries.len().trailing_zeros() as usize;
+    let mut spec = Vec::with_capacity(entries.len());
+    let mut hashes: Vec<u64> = (0..width)
+        .map(|bit| {
+            sorted_abs_spectrum_into(entries, bit, &mut spec);
+            let mut hasher = DefaultHasher::new();
+            spec.hash(&mut hasher);
+            hasher.finish()
+        })
+        .collect();
+    // Sorted, like the signature's spectra: output-bit order drops out.
+    hashes.sort_unstable();
+    let mut hasher = DefaultHasher::new();
+    hashes.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// A matching-invariant signature: per output bit, the sorted absolute
@@ -80,12 +139,9 @@ impl MatchSignature {
     pub fn of_table(table: &TruthTable) -> Self {
         let mut spectra: Vec<Vec<u64>> = (0..table.width())
             .map(|bit| {
-                let mut abs: Vec<u64> = walsh_spectrum(table, bit)
-                    .into_iter()
-                    .map(|w| w.unsigned_abs())
-                    .collect();
-                abs.sort_unstable();
-                abs
+                let mut abs = Vec::new();
+                sorted_abs_spectrum_into(table.entries(), bit, &mut abs);
+                abs.into_iter().map(i64::unsigned_abs).collect()
             })
             .collect();
         spectra.sort();
@@ -155,10 +211,11 @@ mod tests {
 
     #[test]
     fn spectrum_of_constant_like_bits() {
-        // Identity on 2 lines: bit 0 = x0 has W(01) = ±4... compute: f(x)=x0,
-        // (−1)^{x0}: W(ω) = Σ_x (−1)^{x0 + ω·x}; W(01)=4·? Let's assert via
-        // Parseval instead: Σ W² = 2^{2n}.
+        // On the 2-line identity, bit b = x_b correlates only with ω = e_b,
+        // and Parseval holds: Σ W² = 2^{2n}.
         let tt = TruthTable::identity(2);
+        assert_eq!(walsh_spectrum(&tt, 0), vec![0, 4, 0, 0]);
+        assert_eq!(walsh_spectrum(&tt, 1), vec![0, 0, 4, 0]);
         for bit in 0..2 {
             let spec = walsh_spectrum(&tt, bit);
             let energy: i64 = spec.iter().map(|w| w * w).sum();
@@ -242,6 +299,44 @@ mod tests {
             separated > trials / 2,
             "filter separated only {separated}/{trials} random pairs"
         );
+    }
+
+    /// Digest of a circuit's signature, streamed from its truth table.
+    fn digest(c: &Circuit) -> u64 {
+        signature_digest(c.truth_table().unwrap().entries())
+    }
+
+    #[test]
+    fn digest_equality_agrees_with_signatures_compatible() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut equal = 0;
+        let mut unequal = 0;
+        for w in 1..=6 {
+            for _ in 0..20 {
+                let a = crate::random::random_function_circuit(w, &mut rng);
+                // An unrelated pair, and a transformed copy of `a`.
+                let b = crate::random::random_function_circuit(w, &mut rng);
+                let copy = NpTransform::random(w, &mut rng)
+                    .to_circuit()
+                    .then(&a)
+                    .unwrap()
+                    .then(&NpTransform::random(w, &mut rng).to_circuit())
+                    .unwrap();
+                for other in [&b, &copy] {
+                    let compatible = signatures_compatible(&a, other).unwrap();
+                    assert_eq!(digest(&a) == digest(other), compatible, "width {w}");
+                    if compatible {
+                        equal += 1;
+                    } else {
+                        unequal += 1;
+                    }
+                }
+                assert_eq!(digest(&a), digest(&copy), "transformed copy, width {w}");
+            }
+        }
+        assert!(equal > 0 && unequal > 0, "{equal} equal, {unequal} unequal");
+        let toffoli = Circuit::from_gates(3, [Gate::toffoli(0, 1, 2)]).unwrap();
+        assert_ne!(digest(&toffoli), digest(&Circuit::new(3)));
     }
 
     #[test]

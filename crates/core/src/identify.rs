@@ -13,6 +13,9 @@
 //! matcher and only at widths where it is feasible — exactly the situation
 //! Theorems 2–3 say one cannot improve in general.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use rand::Rng;
 
 use crate::equivalence::Equivalence;
@@ -20,9 +23,9 @@ use crate::error::MatchError;
 use crate::lattice::classify;
 use crate::matchers::{brute_force_match, solve_promise, MatcherConfig, ProblemOracles};
 use crate::oracle::Oracle;
-use crate::verify::{check_witness, VerifyMode};
+use crate::verify::{check_witness, check_witness_tables, VerifyMode};
 use crate::witness::MatchWitness;
-use revmatch_circuit::Circuit;
+use revmatch_circuit::{signature_digest, Circuit, TruthTable};
 
 /// Result of an identification run, with full walk accounting.
 #[derive(Debug, Clone)]
@@ -116,6 +119,14 @@ pub fn identify_equivalence(
 /// inverses; query accounting in the returned [`Identification`] is
 /// relative to the counters at entry.
 ///
+/// The cached tables of `o1` and `o2` also serve the walk's white-box
+/// steps, uncounted: the spectral prefilter reads their memoized
+/// signature digests, and every candidate witness is validated by table
+/// lookup instead of re-simulating the gate cascades. Oracles without
+/// tables get their truth tables computed once per call (widths up to
+/// `TruthTable::MAX_WIDTH`); wider pairs skip the prefilter and
+/// validate with [`check_witness`].
+///
 /// # Errors
 ///
 /// Same as [`identify_equivalence`].
@@ -137,22 +148,25 @@ pub fn identify_equivalence_with_oracles(
             right: c2.width(),
         });
     }
-    // Spectral prefilter (white-box, no oracle queries): a Walsh-signature
-    // mismatch refutes every X-Y class at once.
-    if n <= revmatch_circuit::TruthTable::MAX_WIDTH
-        && !revmatch_circuit::signatures_compatible(c1, c2)?
-    {
-        return Ok(None);
-    }
+    // White-box truth tables for the spectral prefilter and witness
+    // validation (no oracle queries). A Walsh-signature mismatch refutes
+    // every X-Y class at once; past `TruthTable::MAX_WIDTH` there is no
+    // prefilter and candidates are gate-simulated.
+    let tables = if n <= TruthTable::MAX_WIDTH {
+        let (t1, d1) = white_box_table(o1, c1);
+        let (t2, d2) = white_box_table(o2, c2);
+        if d1 != d2 {
+            return Ok(None);
+        }
+        Some((t1, t2))
+    } else {
+        None
+    };
     let oracles = ProblemOracles::with_inverses(o1, o2, o1_inv, o2_inv);
     let initial_queries = oracles.total_queries();
 
-    // Cheapest classes first; ties broken deterministically.
-    let mut classes: Vec<Equivalence> = Equivalence::all().collect();
-    classes.sort_by_key(|e| (e.search_space(n.min(16)), e.to_string()));
-
     let mut classes_tried = 0usize;
-    for e in classes {
+    for &e in walk_order(n) {
         let before = oracles.total_queries();
         let candidate = if classify(e).is_tractable() {
             classes_tried += 1;
@@ -163,20 +177,59 @@ pub fn identify_equivalence_with_oracles(
         } else {
             None
         };
-        if let Some(witness) = candidate {
-            if witness.conforms_to(e) && check_witness(c1, c2, &witness, options.verify, rng)? {
-                let total = oracles.total_queries();
-                return Ok(Some(Identification {
-                    equivalence: e,
-                    witness,
-                    queries: total - initial_queries,
-                    winner_queries: total - before,
-                    classes_tried,
-                }));
-            }
+        let Some(witness) = candidate else { continue };
+        if !witness.conforms_to(e) {
+            continue;
+        }
+        let valid = match &tables {
+            Some((t1, t2)) => check_witness_tables(t1, t2, &witness, options.verify, rng)?,
+            None => check_witness(c1, c2, &witness, options.verify, rng)?,
+        };
+        if valid {
+            let total = oracles.total_queries();
+            return Ok(Some(Identification {
+                equivalence: e,
+                witness,
+                queries: total - initial_queries,
+                winner_queries: total - before,
+                classes_tried,
+            }));
         }
     }
     Ok(None)
+}
+
+/// The truth table of `circuit` and its signature digest: borrowed from
+/// the oracle's compiled dense table (whose digest is memoized, so a
+/// warm worker pays nothing), else computed once for this walk.
+fn white_box_table<'a>(oracle: &'a Oracle, circuit: &Circuit) -> (Cow<'a, [u64]>, u64) {
+    match oracle.dense_table() {
+        Some(table) => (Cow::Borrowed(table.entries()), table.signature_digest()),
+        None => {
+            let inputs: Vec<u64> = (0..1u64 << circuit.width()).collect();
+            let entries = circuit.apply_batch(&inputs);
+            let digest = signature_digest(&entries);
+            (Cow::Owned(entries), digest)
+        }
+    }
+}
+
+/// The lattice classes in walk order at width `n`: cheapest transform
+/// space first, ties broken by display name. Built once per capped
+/// width, so a walk does not re-sort.
+fn walk_order(n: usize) -> &'static [Equivalence] {
+    const CAP: usize = 16;
+    static ORDERS: OnceLock<Vec<Vec<Equivalence>>> = OnceLock::new();
+    let orders = ORDERS.get_or_init(|| {
+        (0..=CAP)
+            .map(|w| {
+                let mut classes: Vec<Equivalence> = Equivalence::all().collect();
+                classes.sort_by_cached_key(|e| (e.search_space(w), e.to_string()));
+                classes
+            })
+            .collect()
+    });
+    &orders[n.min(CAP)]
 }
 
 #[cfg(test)]
@@ -311,6 +364,15 @@ mod tests {
                 &mut rng
             )
             .unwrap());
+        }
+    }
+
+    #[test]
+    fn walk_order_is_search_space_then_name() {
+        for n in 0..=24 {
+            let mut expected: Vec<Equivalence> = Equivalence::all().collect();
+            expected.sort_by_key(|e| (e.search_space(n.min(16)), e.to_string()));
+            assert_eq!(walk_order(n), expected.as_slice(), "width {n}");
         }
     }
 

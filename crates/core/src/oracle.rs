@@ -193,6 +193,13 @@ impl Oracle {
         &self.circuit
     }
 
+    /// White-box access to the compiled dense table, if any. Same rules
+    /// as [`Oracle::circuit`]: for verification only, and reading it
+    /// charges no queries.
+    pub(crate) fn dense_table(&self) -> Option<&DenseTable> {
+        self.dense.as_deref()
+    }
+
     fn count(&self) {
         self.queries.fetch_add(1, Ordering::Relaxed);
     }

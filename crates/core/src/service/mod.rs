@@ -1584,12 +1584,32 @@ impl MatchService {
             state.last_stolen_from[shard] = s;
             state.last_idle_us[shard] = i;
         }
-        let victim = (0..shards).max_by_key(|&s| stolen[s])?;
-        if stolen[victim] < config.min_steals {
-            state.streak_shard = None;
-            state.streak = 0;
-            return None;
-        }
+        // Only a shard that owns a heated lane can be relieved by a move:
+        // steals from a lane holding only jobs spilled from a full lane
+        // leave nothing to move.
+        let owns_lane = {
+            let heat = self
+                .shared
+                .heat
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let mut owns = vec![false; shards];
+            for key in heat.keys() {
+                owns[self.shared.route_of(key)] = true;
+            }
+            owns
+        };
+        let victim = match (0..shards)
+            .filter(|&s| owns_lane[s])
+            .max_by_key(|&s| stolen[s])
+        {
+            Some(victim) if stolen[victim] >= config.min_steals => victim,
+            _ => {
+                state.streak_shard = None;
+                state.streak = 0;
+                return None;
+            }
+        };
         if state.streak_shard == Some(victim) {
             state.streak += 1;
         } else {

@@ -13,7 +13,9 @@
 //! 1. each call snapshots the per-shard `stolen_from` / `busy` / `idle`
 //!    counters and computes the deltas since the previous call (one call
 //!    = one observation window);
-//! 2. the **victim** is the shard others stole from most this window; it
+//! 2. the **victim** is the shard others stole from most this window,
+//!    among shards that own a lane with heat (a lane holding only jobs
+//!    spilled from a full lane has nothing to move); it
 //!    must have lost at least [`RebalanceConfig::min_steals`] jobs, for
 //!    [`RebalanceConfig::sustain`] consecutive windows, to count as a
 //!    sustained imbalance rather than a burst;

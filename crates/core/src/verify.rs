@@ -82,6 +82,55 @@ pub fn check_witness(
         .all(|(&l, &m)| l == witness.output.apply(m)))
 }
 
+/// [`check_witness`] over the pair's truth tables (`t1[x] = C1(x)`,
+/// `t2[x] = C2(x)`): each input is one lookup per side, and the scan
+/// stops at the first disagreement. Verdicts equal [`check_witness`]'s,
+/// and `Sampled(k)` draws the same `k` values from `rng` even after a
+/// mismatch, so callers see the same RNG stream either way.
+///
+/// # Errors
+///
+/// Returns [`MatchError::WidthMismatch`] if the witness width disagrees
+/// with the tables.
+///
+/// # Panics
+///
+/// Panics if the tables differ in length or their length is not a
+/// power of two.
+pub(crate) fn check_witness_tables(
+    t1: &[u64],
+    t2: &[u64],
+    witness: &MatchWitness,
+    mode: VerifyMode,
+    rng: &mut impl Rng,
+) -> Result<bool, MatchError> {
+    let n = t1.len().trailing_zeros() as usize;
+    assert!(
+        t1.len().is_power_of_two() && t1.len() == t2.len(),
+        "tables must cover 2^n inputs"
+    );
+    if witness.width() != n {
+        return Err(MatchError::WidthMismatch {
+            left: n,
+            right: witness.width(),
+        });
+    }
+    let holds =
+        |x: u64| t1[x as usize] == witness.output.apply(t2[witness.input.apply(x) as usize]);
+    Ok(match mode {
+        VerifyMode::Exhaustive => (0..1u64 << n).all(holds),
+        VerifyMode::Sampled(k) => {
+            let mask = width_mask(n);
+            let mut ok = true;
+            for _ in 0..k {
+                let x = rng.gen::<u64>() & mask;
+                ok = ok && holds(x);
+            }
+            ok
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +205,62 @@ mod tests {
         assert!(!ok, "random witness accepted (astronomically unlikely)");
     }
 
+    /// `t` with negation bit `line` flipped.
+    fn flip_negation(t: &NpTransform, line: usize) -> NpTransform {
+        let nu = NegationMask::new(t.negation().mask() ^ (1 << line), t.width()).unwrap();
+        NpTransform::new(nu, t.permutation().clone()).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Table validation is pinned to `check_witness`: planted
+        /// witnesses and one-bit corruptions of them get the same
+        /// verdict in both modes, and the RNG ends in the same state.
+        #[test]
+        fn table_validation_matches_check_witness(
+            seed in proptest::prelude::any::<u64>(),
+            w in 1usize..=8,
+            samples in 1usize..=64,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let classes: Vec<Equivalence> = Equivalence::all().collect();
+            let e = classes[(seed % classes.len() as u64) as usize];
+            let inst = random_instance(e, w, &mut rng);
+            let t1 = inst.c1.truth_table().unwrap();
+            let t2 = inst.c2.truth_table().unwrap();
+            let line = rng.gen_range(0..w);
+            let planted = inst.witness.clone();
+            let input_flipped = MatchWitness {
+                input: flip_negation(&planted.input, line),
+                output: planted.output.clone(),
+            };
+            let output_flipped = MatchWitness {
+                input: planted.input.clone(),
+                output: flip_negation(&planted.output, line),
+            };
+            for witness in [&planted, &input_flipped, &output_flipped] {
+                for mode in [VerifyMode::Exhaustive, VerifyMode::Sampled(samples)] {
+                    let mut gate_rng = rand::rngs::StdRng::seed_from_u64(!seed);
+                    let mut table_rng = rand::rngs::StdRng::seed_from_u64(!seed);
+                    let gate =
+                        check_witness(&inst.c1, &inst.c2, witness, mode, &mut gate_rng).unwrap();
+                    let table = check_witness_tables(
+                        t1.entries(), t2.entries(), witness, mode, &mut table_rng,
+                    ).unwrap();
+                    proptest::prop_assert_eq!(gate, table, "{} {:?}", e, mode);
+                    proptest::prop_assert_eq!(gate_rng.gen::<u64>(), table_rng.gen::<u64>());
+                }
+            }
+            // A flipped output negation changes C1's prediction on every
+            // input, so the corrupted witness must be rejected outright.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            proptest::prop_assert!(!check_witness_tables(
+                t1.entries(), t2.entries(), &output_flipped, VerifyMode::Exhaustive, &mut rng,
+            ).unwrap());
+        }
+    }
+
     #[test]
     fn width_mismatch_is_error() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
@@ -166,6 +271,15 @@ mod tests {
         assert!(check_witness(
             &c2,
             &c2,
+            &MatchWitness::identity(3),
+            VerifyMode::Exhaustive,
+            &mut rng
+        )
+        .is_err());
+        let table = c2.truth_table().unwrap();
+        assert!(check_witness_tables(
+            table.entries(),
+            table.entries(),
             &MatchWitness::identity(3),
             VerifyMode::Exhaustive,
             &mut rng

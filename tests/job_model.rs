@@ -5,14 +5,15 @@
 //! under fixed seeds.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use revmatch::{
-    check_witness, identify_equivalence, job_seed, match_n_i_simon_with, random_instance,
-    EngineJob, EnumerateJob, Equivalence, IdentifyJob, IdentifyOptions, JobKind, JobReport,
-    JobSpec, JobTicket, MatchError, MatchService, MatcherConfig, MiterVerdict, Oracle,
-    QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob, ServiceConfig, Side, VerifyMode,
-    WitnessFamily,
+    check_witness, identify_equivalence_with_oracles, job_seed, match_n_i_simon_with,
+    random_instance, random_instance_from, EngineJob, EnumerateJob, Equivalence, Identification,
+    IdentifyJob, IdentifyOptions, JobKind, JobReport, JobSpec, JobTicket, MatchError, MatchService,
+    MatcherConfig, MiterVerdict, Oracle, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob,
+    ServiceConfig, Side, VerifyMode, WitnessFamily,
 };
+use revmatch_circuit::{random_function_circuit, signatures_compatible, Circuit, Gate};
 
 fn epsilon() -> f64 {
     1e-9
@@ -320,15 +321,93 @@ fn simon_path_is_deterministic_under_fixed_seeds() {
     }
 }
 
+/// A direct walk's answer and accounting, read off its own oracle
+/// counters so pairs that identify as nothing still report the queries
+/// the walk spent.
+struct DirectWalk {
+    found: Option<Identification>,
+    queries: u64,
+}
+
+fn direct_walk(c1: &Circuit, c2: &Circuit, seed: u64) -> DirectWalk {
+    // The job's own RNG construction and the matcher tuning the service
+    // uses; plain (table-less) oracles, where the service's are
+    // precompiled.
+    let options = IdentifyOptions {
+        config: MatcherConfig::with_epsilon(epsilon()),
+        allow_brute_force: true,
+        verify: VerifyMode::Exhaustive,
+    };
+    let o1 = Oracle::new(c1.clone());
+    let o2 = Oracle::new(c2.clone());
+    let (o1_inv, o2_inv) = (o1.inverse_oracle(), o2.inverse_oracle());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let found =
+        identify_equivalence_with_oracles(c1, c2, &o1, &o2, &o1_inv, &o2_inv, &options, &mut rng)
+            .unwrap();
+    let queries = o1.queries() + o2.queries() + o1_inv.queries() + o2_inv.queries();
+    DirectWalk { found, queries }
+}
+
+/// Runs the pair as `JobSpec::Identify` on 1, 2 and N workers and
+/// checks class, witness, walk-wide queries and classes tried against
+/// the direct walk.
+fn assert_service_matches_direct(c1: &Circuit, c2: &Circuit, seed: u64, direct: &DirectWalk) {
+    let parallelism = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    for shards in [1usize, 2, parallelism] {
+        let svc = service(shards);
+        let report = svc
+            .submit_wait_seeded(IdentifyJob::new(c1.clone(), c2.clone()), seed)
+            .wait();
+        svc.shutdown();
+        assert_eq!(
+            report.queries, direct.queries,
+            "walk-wide query accounting, {} shards",
+            shards
+        );
+        let Some(found) = &direct.found else {
+            assert_eq!(report.witness, Err(MatchError::NoEquivalence));
+            assert_eq!(report.identified, None);
+            assert_eq!(report.rounds, 0);
+            continue;
+        };
+        let witness = report.witness.expect("service walk identifies");
+        assert_eq!(
+            report.identified,
+            Some(found.equivalence),
+            "minimal class, {} shards",
+            shards
+        );
+        assert_eq!(&witness, &found.witness, "witness, {} shards", shards);
+        assert_eq!(report.rounds, found.classes_tried as u64);
+        // And the witness actually explains the pair.
+        let mut check_rng = rand::rngs::StdRng::seed_from_u64(1);
+        assert!(check_witness(c1, c2, &witness, VerifyMode::Exhaustive, &mut check_rng).unwrap());
+    }
+}
+
+/// A random CNOT-only (linear) circuit.
+fn random_cnot_circuit(width: usize, rng: &mut impl Rng) -> Circuit {
+    let mut c = Circuit::new(width);
+    for _ in 0..3 * width {
+        let control = rng.gen_range(0..width);
+        let target = (control + rng.gen_range(1..width)) % width;
+        c.push(Gate::cnot(control, target)).unwrap();
+    }
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Differential: `JobSpec::Identify` through the service returns the
-    /// same minimal equivalence, the same validated witness and the same
-    /// walk-wide query total as direct `identify_equivalence`, across
-    /// 1/2/N workers.
+    /// same minimal equivalence, the same validated witness, the same
+    /// walk-wide query total and the same classes tried as the direct
+    /// walk, across 1/2/N workers.
     #[test]
-    fn service_identify_matches_direct_walk(seed in any::<u64>(), w in 3usize..=4) {
+    fn service_identify_matches_direct_walk(seed in any::<u64>(), w in 3usize..=6) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         // Plant an arbitrary class so the walk exercises different
         // depths (including hard classes via brute force at this width).
@@ -336,44 +415,36 @@ proptest! {
         let planted = classes[(seed % classes.len() as u64) as usize];
         let inst = random_instance(planted, w, &mut rng);
         let job_seed_value = seed ^ 0x1DE7;
+        let direct = direct_walk(&inst.c1, &inst.c2, job_seed_value);
+        let found = direct.found.as_ref().expect("planted pair identifies");
+        prop_assert!(found.witness.conforms_to(found.equivalence));
+        assert_service_matches_direct(&inst.c1, &inst.c2, job_seed_value, &direct);
 
-        // Direct walk with the job's own RNG construction and the same
-        // matcher tuning the service uses.
-        let options = IdentifyOptions {
-            config: MatcherConfig::with_epsilon(epsilon()),
-            allow_brute_force: true,
-            verify: VerifyMode::Exhaustive,
-        };
-        let mut direct_rng = rand::rngs::StdRng::seed_from_u64(job_seed_value);
-        let direct = identify_equivalence(&inst.c1, &inst.c2, &options, &mut direct_rng)
-            .unwrap()
-            .expect("planted pair identifies");
-        prop_assert!(direct.witness.conforms_to(direct.equivalence));
-
-        let parallelism = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        for shards in [1usize, 2, parallelism] {
-            let svc = service(shards);
-            let report = svc
-                .submit_wait_seeded(
-                    IdentifyJob::new(inst.c1.clone(), inst.c2.clone()),
-                    job_seed_value,
-                )
-                .wait();
-            let witness = report.witness.expect("service walk identifies");
-            prop_assert_eq!(report.identified, Some(direct.equivalence),
-                "minimal class, {} shards", shards);
-            prop_assert_eq!(&witness, &direct.witness, "witness, {} shards", shards);
-            prop_assert_eq!(report.queries, direct.queries,
-                "walk-wide query accounting, {} shards", shards);
-            prop_assert_eq!(report.rounds, direct.classes_tried as u64);
-            // And the witness actually explains the pair.
-            let mut check_rng = rand::rngs::StdRng::seed_from_u64(1);
-            prop_assert!(check_witness(
-                &inst.c1, &inst.c2, &witness, VerifyMode::Exhaustive, &mut check_rng
-            ).unwrap());
-            svc.shutdown();
+        // An unrelated pair: the spectral prefilter rejects it before
+        // any query whenever the signatures differ.
+        let a = random_function_circuit(w, &mut rng);
+        let b = random_function_circuit(w, &mut rng);
+        let unrelated = direct_walk(&a, &b, job_seed_value);
+        if !signatures_compatible(&a, &b).unwrap() {
+            prop_assert!(unrelated.found.is_none());
+            prop_assert_eq!(unrelated.queries, 0);
         }
+        assert_service_matches_direct(&a, &b, job_seed_value, &unrelated);
+
+        // Linear pairs share the identity's signature, so the walk
+        // runs past the prefilter and must validate what it finds:
+        // a planted pair over a CNOT cascade, and two unrelated ones.
+        let linear = random_instance_from(random_cnot_circuit(w, &mut rng), planted, &mut rng);
+        let direct = direct_walk(&linear.c1, &linear.c2, job_seed_value);
+        prop_assert!(direct.found.is_some(), "planted linear pair identifies");
+        assert_service_matches_direct(&linear.c1, &linear.c2, job_seed_value, &direct);
+        let (p, q) = (random_cnot_circuit(w, &mut rng), random_cnot_circuit(w, &mut rng));
+        prop_assert!(signatures_compatible(&p, &q).unwrap());
+        let direct = direct_walk(&p, &q, job_seed_value);
+        prop_assert!(
+            direct.found.is_some() || direct.queries > 0,
+            "the walk ran past the prefilter"
+        );
+        assert_service_matches_direct(&p, &q, job_seed_value, &direct);
     }
 }
