@@ -26,8 +26,8 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use revmatch::{
     check_witness_sat_budgeted_with, check_witness_sat_with, random_instance, random_wide_instance,
-    sweep_family, Equivalence, FamilyMiter, MatchWitness, MiterEncoding, PromiseInstance, Side,
-    SolverBackend, WitnessFamily,
+    sweep_family, Counterexamples, Equivalence, FamilyLayout, FamilyMiter, MatchWitness,
+    MiterEncoding, PromiseInstance, Side, SolverBackend, WitnessFamily,
 };
 use revmatch_circuit::NegationMask;
 use revmatch_sat::{AssumedSolve, CdclSolver, SatOptions, Solve, Solver};
@@ -413,9 +413,9 @@ fn family_sweep_summary() {
                 .expect("width under the family encode cap");
             let mut solver = CdclSolver::new(&miter.cnf)
                 .with_options(SatOptions::ALL)
-                .with_branch_hint(miter.input_hint());
+                .with_branch_hint(miter.layout.input_hint());
             for w in &candidates {
-                let assumptions = miter.assumptions(w).expect("candidate in family");
+                let assumptions = miter.layout.assumptions(w).expect("candidate in family");
                 let is_witness =
                     matches!(solver.solve_under(&assumptions), AssumedSolve::Unsat { .. });
                 first_verdicts.push(is_witness);
@@ -431,7 +431,7 @@ fn family_sweep_summary() {
         let warm_s = best_secs(3, || {
             warm_verdicts.clear();
             for w in &candidates {
-                let assumptions = miter.assumptions(w).expect("candidate in family");
+                let assumptions = miter.layout.assumptions(w).expect("candidate in family");
                 let is_witness =
                     matches!(solver.solve_under(&assumptions), AssumedSolve::Unsat { .. });
                 warm_verdicts.push(is_witness);
@@ -474,9 +474,10 @@ fn family_sweep_summary() {
 const SERVED_FAMILIES: u64 = 4;
 
 /// The served enumerate mix: warm N-I family sweeps at widths 5–6 on
-/// synthesized uniform functions, the per-shard solver-cache steady
+/// synthesized uniform functions, the per-shard miter-cache steady
 /// state the serving layer spends its SAT time in. Each option set gets
-/// its own retained solvers (one cold sweep each, untimed); the timed
+/// its own retained solvers and replay stores (one cold sweep each,
+/// untimed), so a warm sweep solves only the witnesses; the timed
 /// region re-sweeps every family, best of 7 interleaved rounds so drift
 /// hits all sets alike.
 ///
@@ -496,18 +497,23 @@ fn served_mix_summary() {
         .flat_map(|width| (0..SERVED_FAMILIES).map(move |_| width))
         .map(|width| random_instance(family.equivalence(), width, &mut rng))
         .collect();
-    let mut cached: Vec<Vec<(FamilyMiter, CdclSolver)>> = sets
+    // Each cached family is what a worker's miter cache holds: the
+    // solver, its layout and its counterexample replay store.
+    let mut cached: Vec<Vec<(FamilyLayout, CdclSolver, Counterexamples)>> = sets
         .iter()
         .map(|&opts| {
             pairs
                 .iter()
                 .map(|p| {
                     let miter = FamilyMiter::build(&p.c1, &p.c2, family).expect("encodable");
+                    let layout = miter.layout;
                     let mut solver = CdclSolver::new(&miter.cnf)
                         .with_options(opts)
-                        .with_branch_hint(miter.input_hint());
-                    sweep_family(&mut solver, &miter, None).expect("cold sweep");
-                    (miter, solver)
+                        .with_branch_hint(layout.input_hint());
+                    let mut replay = Counterexamples::new();
+                    sweep_family(&mut solver, &layout, &p.c1, &p.c2, &mut replay, None)
+                        .expect("cold sweep");
+                    (layout, solver, replay)
                 })
                 .collect()
         })
@@ -520,8 +526,9 @@ fn served_mix_summary() {
             let start = Instant::now();
             let found: Vec<Vec<MatchWitness>> = solvers
                 .iter_mut()
-                .map(|(miter, solver)| {
-                    sweep_family(solver, miter, None)
+                .zip(&pairs)
+                .map(|((layout, solver, replay), p)| {
+                    sweep_family(solver, layout, &p.c1, &p.c2, replay, None)
                         .expect("warm sweep")
                         .witnesses
                 })
@@ -540,7 +547,7 @@ fn served_mix_summary() {
         "options", "warm sweeps", "gauss rows"
     );
     for (i, opts) in sets.iter().enumerate() {
-        let rows: usize = cached[i].iter().map(|(_, s)| s.xor_rows()).sum();
+        let rows: usize = cached[i].iter().map(|(_, s, _)| s.xor_rows()).sum();
         println!(
             "{:>15} {:>10.2}ms {rows:>10}",
             opts.to_string(),

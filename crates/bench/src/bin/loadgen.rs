@@ -453,9 +453,11 @@ fn main() {
             "every planted enumeration job finds at least its planted witness"
         );
         println!(
-            "enumerate: {} jobs found {} family witnesses | {} solver cache hits",
+            "enumerate: {} jobs found {} family witnesses | {} sat solves, {} replay refutations | {} solver cache hits",
             done,
             m.enumerated_witnesses(),
+            m.enumerate_sat_solves(),
+            m.enumerate_replay_refutations(),
             m.solver_cache_hits(),
         );
     }

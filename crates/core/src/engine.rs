@@ -349,7 +349,9 @@ pub struct JobReport {
     /// distinct paper metric (the N-I collision search).
     pub charged_queries: u64,
     /// Algorithm-specific round count (probe rounds, Simon sampling
-    /// rounds); 0 when the matcher reports none.
+    /// rounds; for enumeration, the candidates decided — solver calls
+    /// plus counterexample-replay refutations, independent of cache
+    /// warmth); 0 when the matcher reports none.
     pub rounds: u64,
     /// The minimal equivalence found, for identification jobs.
     pub identified: Option<Equivalence>,

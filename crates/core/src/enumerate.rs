@@ -21,6 +21,21 @@
 //! [`CdclSolver`] serves the whole family: clauses learned refuting (or
 //! satisfying) one candidate prune the search for the next, instead of
 //! paying a cold miter per candidate ([`EnumerationStrategy::AssumptionSweep`]).
+//!
+//! **Counterexample replay.** Most candidates are not witnesses, and a
+//! distinguishing input found for one usually distinguishes the others
+//! too. The sweep keeps every input decoded from a SAT model as
+//! `(x, C1(x))` in a bounded [`Counterexamples`] store and, before
+//! solving a candidate `T`, simulates `T ∘ C2` on the stored inputs: a
+//! mismatch is a concrete counterexample and refutes `T` with no solver
+//! call. Replay only refutes — a witness is accepted only on an UNSAT
+//! `solve_under`, so every reported witness keeps its SAT proof. A
+//! sweep's [`WitnessEnumeration::solves`] therefore depends on how warm
+//! the store was, while [`WitnessEnumeration::decided`] (solves plus
+//! replay refutations) is always the candidate count; the serving layer
+//! reports the latter as `rounds`, and keys its cached solver and store
+//! by the miter's inputs `(kind, C1, C2, family)`.
+//!
 //! The dual mode ([`EnumerationStrategy::BlockingClauses`]) leaves the
 //! selectors free and repeatedly solves the family formula, **blocking**
 //! each discovered non-witness selector assignment with a clause until
@@ -31,7 +46,7 @@
 //! for the next job while blocking clauses would poison it.
 //!
 //! The DPLL backend gets a semantics-compatible fallback (fresh
-//! per-candidate solves under assumptions), keeping
+//! per-candidate solves under assumptions, with the same replay), keeping
 //! [`SolverBackend`] interchangeable for differential testing.
 
 use std::collections::HashSet;
@@ -245,14 +260,23 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// chosen by assumption literals over selector variables — see the
 /// [module docs](self).
 ///
-/// Variable layout: shared inputs `0..n`, selectors
-/// `n..n + selector_count`, then Tseitin gate variables. The layout is
-/// stable, so a solver built once keeps serving candidates.
+/// The variable layout lives in [`FamilyMiter::layout`]; a solver built
+/// on [`FamilyMiter::cnf`] owns the clauses, so a caller that keeps the
+/// solver needs only the layout to drive it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FamilyMiter {
     /// The family formula: satisfiable under a candidate's assumptions
     /// exactly on that candidate's distinguishing inputs.
     pub cnf: Cnf,
+    /// Where the inputs and selectors sit among the formula's variables.
+    pub layout: FamilyLayout,
+}
+
+/// The variable layout of a [`FamilyMiter`]: shared inputs `0..n`,
+/// selectors `n..n + selector_count`, then Tseitin gate variables. The
+/// layout is stable, so a solver built once keeps serving candidates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FamilyLayout {
     family: WitnessFamily,
     width: usize,
     sel_base: usize,
@@ -339,13 +363,17 @@ impl FamilyMiter {
         cnf.add_clause(Clause::new(diff_lits));
         Ok(Self {
             cnf,
-            family,
-            width: n,
-            sel_base,
-            sel_count,
+            layout: FamilyLayout {
+                family,
+                width: n,
+                sel_base,
+                sel_count,
+            },
         })
     }
+}
 
+impl FamilyLayout {
     /// The enumerated family.
     pub fn family(&self) -> WitnessFamily {
         self.family
@@ -369,13 +397,7 @@ impl FamilyMiter {
 
     /// Decodes the shared input pattern (a counterexample) from a model.
     pub fn decode_input(&self, model: &[bool]) -> u64 {
-        let mut input = 0u64;
-        for (i, &b) in model.iter().take(self.width).enumerate() {
-            if b {
-                input |= 1 << i;
-            }
-        }
-        input
+        crate::miter::decode_input(model, self.width)
     }
 
     /// The assumption literals fixing `candidate` — one polarity per
@@ -542,12 +564,74 @@ pub struct WitnessEnumeration {
     pub candidates: u64,
     /// Solver calls spent.
     pub solves: u64,
+    /// Candidates refuted by replaying a stored counterexample, with no
+    /// solver call (always 0 in blocking-clause mode).
+    pub refuted: u64,
 }
 
 impl WitnessEnumeration {
     /// Number of witnesses found.
     pub fn count(&self) -> u64 {
         self.witnesses.len() as u64
+    }
+
+    /// Candidates a sweep decided: solver calls plus replay refutations.
+    /// A completed sweep decides every candidate, so this equals
+    /// [`WitnessEnumeration::candidates`] however warm the replay store
+    /// was — the value the serving layer reports as `rounds`.
+    pub fn decided(&self) -> u64 {
+        self.solves + self.refuted
+    }
+}
+
+/// Stored distinguishing inputs kept per replay store; an internal bound,
+/// not an option. One input typically refutes every non-witness of a
+/// served family, so the bound only caps pathological pairs.
+const REPLAY_CAPACITY: usize = 32;
+
+/// Counterexample replay: distinguishing inputs decoded from earlier SAT
+/// models, kept as `(x, C1(x))` pairs, most recently useful first.
+///
+/// Before a sweep pays a solver call for a candidate `T`, it simulates
+/// `T ∘ C2` on the stored inputs; a disagreement with the stored
+/// `C1(x)` is a concrete counterexample, so the candidate is refuted
+/// without SAT. A stored input only ever **refutes** — a witness is
+/// still accepted only on an UNSAT solve. The serving layer keeps one
+/// store per cached miter, so a warm job re-refutes its non-witnesses
+/// by simulation.
+#[derive(Debug, Clone, Default)]
+pub struct Counterexamples {
+    inputs: Vec<(u64, u64)>,
+}
+
+impl Counterexamples {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of stored inputs.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.inputs.len()
+    }
+
+    /// The first stored input on which `candidate ∘ c2` disagrees with
+    /// `C1`, moved to the front; `None` when every stored input agrees.
+    pub(crate) fn refute(&mut self, candidate: &MatchWitness, c2: &Circuit) -> Option<u64> {
+        let i = self
+            .inputs
+            .iter()
+            .position(|&(x, y)| candidate.predict(x, |z| c2.apply(z)) != y)?;
+        self.inputs[..=i].rotate_right(1);
+        Some(self.inputs[0].0)
+    }
+
+    /// Stores a distinguishing input at the front, evicting the least
+    /// recently useful one past the capacity.
+    pub(crate) fn record(&mut self, x: u64, c1: &Circuit) {
+        self.inputs.truncate(REPLAY_CAPACITY - 1);
+        self.inputs.insert(0, (x, c1.apply(x)));
     }
 }
 
@@ -572,7 +656,8 @@ pub fn enumerate_witnesses_sat(
     )
 }
 
-/// [`enumerate_witnesses_sat`] on an explicit backend and strategy.
+/// [`enumerate_witnesses_sat`] on an explicit backend and strategy. The
+/// assumption sweep replays counterexamples within the call.
 ///
 /// # Errors
 ///
@@ -585,16 +670,21 @@ pub fn enumerate_witnesses_sat_with(
     strategy: EnumerationStrategy,
 ) -> Result<WitnessEnumeration, MatchError> {
     let miter = FamilyMiter::build(c1, c2, family)?;
+    let layout = miter.layout;
     match strategy {
-        EnumerationStrategy::AssumptionSweep => match backend {
-            SolverBackend::Cdcl => {
-                let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(miter.input_hint());
-                sweep_family(&mut solver, &miter, None)
+        EnumerationStrategy::AssumptionSweep => {
+            let mut replay = Counterexamples::new();
+            match backend {
+                SolverBackend::Cdcl => {
+                    let mut solver =
+                        CdclSolver::new(&miter.cnf).with_branch_hint(layout.input_hint());
+                    sweep_family(&mut solver, &layout, c1, c2, &mut replay, None)
+                }
+                SolverBackend::Dpll => sweep_family_dpll(&miter, c1, c2, &mut replay, None),
             }
-            SolverBackend::Dpll => sweep_family_dpll(&miter, None),
-        },
+        }
         EnumerationStrategy::BlockingClauses => {
-            enumerate_blocking(&miter, backend, family.candidates(miter.width)?)
+            enumerate_blocking(&miter, backend, family.candidates(layout.width)?)
         }
     }
 }
@@ -614,11 +704,13 @@ pub fn count_witnesses_sat(
 }
 
 /// The incremental assumption sweep over every candidate of the family,
-/// on a caller-owned solver — the serving layer passes its per-shard
-/// cached solver here so learned clauses persist *across jobs*, not just
-/// across candidates. `budget` bounds each per-candidate solve
-/// (decisions + conflicts); exhausting it aborts the enumeration with
-/// [`MatchError::Inconclusive`] rather than returning a wrong count.
+/// on a caller-owned solver already holding the family formula of
+/// `(c1, c2)` laid out as `layout` — the serving layer passes its
+/// per-shard cached solver and replay store here, so learned clauses and
+/// counterexamples persist *across jobs*, not just across candidates.
+/// `budget` bounds each per-candidate solve (decisions + conflicts);
+/// exhausting it aborts the enumeration with [`MatchError::Inconclusive`]
+/// rather than returning a wrong count.
 ///
 /// # Errors
 ///
@@ -626,20 +718,28 @@ pub fn count_witnesses_sat(
 /// encoding errors.
 pub fn sweep_family(
     solver: &mut CdclSolver,
-    miter: &FamilyMiter,
+    layout: &FamilyLayout,
+    c1: &Circuit,
+    c2: &Circuit,
+    replay: &mut Counterexamples,
     budget: Option<usize>,
 ) -> Result<WitnessEnumeration, MatchError> {
     solver.set_budget(budget);
-    sweep_candidates(miter, |assumptions| {
-        solver.solve_under_budgeted(assumptions)
-    })
+    sweep_candidates(
+        layout,
+        c1,
+        c2,
+        replay,
+        |assumptions| solver.solve_under_budgeted(assumptions),
+        |_, _| {},
+    )
 }
 
 /// The DPLL counterpart of [`sweep_family`]: a stateless per-candidate
-/// sweep under assumptions with the same per-solve `budget` semantics
-/// (exhaustion aborts with [`MatchError::Inconclusive`] rather than
-/// returning a wrong count) — the semantics-compatible fallback keeping
-/// [`SolverBackend`] interchangeable in the serving layer.
+/// sweep under assumptions with the same replay and per-solve `budget`
+/// semantics (exhaustion aborts with [`MatchError::Inconclusive`] rather
+/// than returning a wrong count) — the semantics-compatible fallback
+/// keeping [`SolverBackend`] interchangeable in the serving layer.
 ///
 /// # Errors
 ///
@@ -647,34 +747,55 @@ pub fn sweep_family(
 /// encoding errors.
 pub fn sweep_family_dpll(
     miter: &FamilyMiter,
+    c1: &Circuit,
+    c2: &Circuit,
+    replay: &mut Counterexamples,
     budget: Option<usize>,
 ) -> Result<WitnessEnumeration, MatchError> {
-    let mut solver = Solver::new(&miter.cnf).with_branch_hint(miter.input_hint());
+    let mut solver = Solver::new(&miter.cnf).with_branch_hint(miter.layout.input_hint());
     if let Some(b) = budget {
         solver = solver.with_budget(b);
     }
-    sweep_candidates(miter, |assumptions| {
-        solver.solve_under_budgeted(assumptions)
-    })
+    sweep_candidates(
+        &miter.layout,
+        c1,
+        c2,
+        replay,
+        |assumptions| solver.solve_under_budgeted(assumptions),
+        |_, _| {},
+    )
 }
 
-/// The shared sweep loop: one budgeted solve-under-assumptions per
-/// candidate, whichever engine answers. UNSAT collects the candidate as
-/// a witness; `Unknown` aborts the enumeration (a partial count would be
-/// wrong, not merely incomplete).
+/// The shared sweep loop, whichever engine answers. Each candidate is
+/// first replayed against the stored counterexamples (`refuted` sees
+/// each refutation with its input); only the survivors cost a budgeted
+/// solve-under-assumptions. UNSAT collects the candidate as a witness,
+/// SAT stores the model's input for replay, and `Unknown` aborts the
+/// enumeration (a partial count would be wrong, not merely incomplete).
 fn sweep_candidates(
-    miter: &FamilyMiter,
+    layout: &FamilyLayout,
+    c1: &Circuit,
+    c2: &Circuit,
+    replay: &mut Counterexamples,
     mut solve: impl FnMut(&[Lit]) -> revmatch_sat::BudgetedAssumedSolve,
+    mut refuted_by: impl FnMut(&MatchWitness, u64),
 ) -> Result<WitnessEnumeration, MatchError> {
-    let candidates = miter.family.candidates(miter.width)?;
+    let candidates = layout.family.candidates(layout.width)?;
     let mut witnesses = Vec::new();
-    let mut solves = 0u64;
+    let (mut solves, mut refuted) = (0u64, 0u64);
     for candidate in &candidates {
-        let assumptions = miter.assumptions(candidate)?;
+        if let Some(x) = replay.refute(candidate, c2) {
+            refuted += 1;
+            refuted_by(candidate, x);
+            continue;
+        }
+        let assumptions = layout.assumptions(candidate)?;
         solves += 1;
         match solve(&assumptions) {
             revmatch_sat::BudgetedAssumedSolve::Unsat { .. } => witnesses.push(candidate.clone()),
-            revmatch_sat::BudgetedAssumedSolve::Sat(_) => {}
+            revmatch_sat::BudgetedAssumedSolve::Sat(model) => {
+                replay.record(layout.decode_input(&model), c1);
+            }
             revmatch_sat::BudgetedAssumedSolve::Unknown => return Err(MatchError::Inconclusive),
         }
     }
@@ -682,6 +803,7 @@ fn sweep_candidates(
         witnesses,
         candidates: candidates.len() as u64,
         solves,
+        refuted,
     })
 }
 
@@ -692,17 +814,18 @@ fn enumerate_blocking(
     backend: SolverBackend,
     candidates: Vec<MatchWitness>,
 ) -> Result<WitnessEnumeration, MatchError> {
+    let layout = &miter.layout;
     let mut blocked: HashSet<u128> = HashSet::new();
     let mut solves = 0u64;
     match backend {
         SolverBackend::Cdcl => {
-            let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(miter.input_hint());
+            let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(layout.input_hint());
             loop {
                 solves += 1;
                 match solver.solve() {
                     revmatch_sat::Solve::Sat(model) => {
-                        blocked.insert(miter.selector_code_of_model(&model));
-                        solver.add_clause(&miter.blocking_clause(&model));
+                        blocked.insert(layout.selector_code_of_model(&model));
+                        solver.add_clause(&layout.blocking_clause(&model));
                     }
                     revmatch_sat::Solve::Unsat => break,
                 }
@@ -713,12 +836,12 @@ fn enumerate_blocking(
             loop {
                 solves += 1;
                 match Solver::new(&cnf)
-                    .with_branch_hint(miter.input_hint())
+                    .with_branch_hint(layout.input_hint())
                     .solve()
                 {
                     revmatch_sat::Solve::Sat(model) => {
-                        blocked.insert(miter.selector_code_of_model(&model));
-                        cnf.add_clause(Clause::new(miter.blocking_clause(&model)));
+                        blocked.insert(layout.selector_code_of_model(&model));
+                        cnf.add_clause(Clause::new(layout.blocking_clause(&model)));
                     }
                     revmatch_sat::Solve::Unsat => break,
                 }
@@ -729,7 +852,7 @@ fn enumerate_blocking(
     let witnesses = candidates
         .into_iter()
         .filter(|c| {
-            let code = miter
+            let code = layout
                 .selector_code_of(c)
                 .expect("candidates come from the family");
             !blocked.contains(&code)
@@ -739,6 +862,7 @@ fn enumerate_blocking(
         witnesses,
         candidates: total,
         solves,
+        refuted: 0,
     })
 }
 
@@ -750,18 +874,71 @@ mod tests {
     use rand::SeedableRng;
     use revmatch_circuit::DenseTable;
 
-    /// Reference counter: a dense-table truth-table sweep over every
+    /// Reference enumeration: a dense-table truth-table sweep over every
     /// candidate witness — `2^n` table lookups per candidate, no SAT.
-    fn dense_table_count(c1: &Circuit, c2: &Circuit, family: WitnessFamily) -> u64 {
+    fn dense_table_witnesses(
+        c1: &Circuit,
+        c2: &Circuit,
+        family: WitnessFamily,
+    ) -> Vec<MatchWitness> {
         let t1 = DenseTable::compile(c1).expect("width under the dense cap");
         let t2 = DenseTable::compile(c2).expect("width under the dense cap");
         let n = c1.width();
         family
             .candidates(n)
             .expect("test widths under the cap")
-            .iter()
+            .into_iter()
             .filter(|w| (0..1u64 << n).all(|x| t1.apply(x) == w.predict(x, |v| t2.apply(v))))
-            .count() as u64
+            .collect()
+    }
+
+    fn dense_table_count(c1: &Circuit, c2: &Circuit, family: WitnessFamily) -> u64 {
+        dense_table_witnesses(c1, c2, family).len() as u64
+    }
+
+    /// A cold replayed sweep on `backend` through the shared loop, with
+    /// the final replay store and every refutation `(candidate, input)`.
+    fn logged_sweep(
+        c1: &Circuit,
+        c2: &Circuit,
+        family: WitnessFamily,
+        backend: SolverBackend,
+    ) -> (
+        WitnessEnumeration,
+        Counterexamples,
+        Vec<(MatchWitness, u64)>,
+    ) {
+        let miter = FamilyMiter::build(c1, c2, family).unwrap();
+        let hint = miter.layout.input_hint();
+        let mut replay = Counterexamples::new();
+        let mut log = Vec::new();
+        let note = |w: &MatchWitness, x: u64| log.push((w.clone(), x));
+        let found = match backend {
+            SolverBackend::Cdcl => {
+                let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(hint);
+                sweep_candidates(
+                    &miter.layout,
+                    c1,
+                    c2,
+                    &mut replay,
+                    |a| solver.solve_under_budgeted(a),
+                    note,
+                )
+            }
+            SolverBackend::Dpll => {
+                let mut solver = Solver::new(&miter.cnf).with_branch_hint(hint);
+                sweep_candidates(
+                    &miter.layout,
+                    c1,
+                    c2,
+                    &mut replay,
+                    |a| solver.solve_under_budgeted(a),
+                    note,
+                )
+            }
+        }
+        .unwrap();
+        (found, replay, log)
     }
 
     #[test]
@@ -874,21 +1051,86 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+        /// Replay soundness: on planted pairs and on broken pairs with no
+        /// witness, for every family at widths 2–6 and on both engines,
+        /// the replayed sweep finds exactly the dense-table witness set,
+        /// decides every candidate once, and every refutation is a real
+        /// counterexample.
+        #[test]
+        fn replayed_sweep_matches_dense_tables(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for family in WitnessFamily::ALL {
+                for w in 2..=6 {
+                    let planted = random_instance(family.equivalence(), w, &mut rng);
+                    let broken = (0..256)
+                        .map(|_| revmatch_circuit::random_function_circuit(w, &mut rng))
+                        .find(|c1| dense_table_count(c1, &planted.c2, family) == 0)
+                        .expect("a random function outside the family orbit");
+                    for c1 in [&planted.c1, &broken] {
+                        let c2 = &planted.c2;
+                        let reference = dense_table_witnesses(c1, c2, family);
+                        for backend in SolverBackend::ALL {
+                            let (found, replay, log) = logged_sweep(c1, c2, family, backend);
+                            proptest::prop_assert_eq!(
+                                &found.witnesses, &reference, "{} w{} {}", family, w, backend
+                            );
+                            proptest::prop_assert_eq!(found.decided(), found.candidates);
+                            proptest::prop_assert_eq!(found.refuted, log.len() as u64);
+                            proptest::prop_assert!(replay.len() <= REPLAY_CAPACITY);
+                            for (candidate, x) in &log {
+                                proptest::prop_assert_ne!(
+                                    c1.apply(*x),
+                                    candidate.predict(*x, |z| c2.apply(z)),
+                                    "{} refuted by a non-distinguishing input", candidate
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_store_is_bounded_and_moves_hits_to_front() {
+        // C1 = CNOT(0 → 1) against the identity: the identity candidate
+        // differs from C1 exactly on the inputs with bit 0 set.
+        let c1 = Circuit::from_gates(2, [revmatch_circuit::Gate::cnot(0, 1)]).unwrap();
+        let c2 = Circuit::new(2);
+        let identity = MatchWitness::identity(2);
+        let mut replay = Counterexamples::new();
+        replay.record(1, &c1);
+        for _ in 1..REPLAY_CAPACITY {
+            replay.record(2, &c1);
+        }
+        assert_eq!(replay.len(), REPLAY_CAPACITY);
+        assert_eq!(replay.refute(&identity, &c2), Some(1));
+        // The refuting input moved to the front, so the next insert
+        // evicts an input that refuted nothing.
+        replay.record(2, &c1);
+        assert_eq!(replay.len(), REPLAY_CAPACITY);
+        assert_eq!(replay.inputs[0].0, 2);
+        assert_eq!(replay.refute(&identity, &c2), Some(1));
+        // Against C2 = C1 the identity is a witness: never refuted.
+        assert_eq!(replay.refute(&identity, &c1), None);
+    }
+
     #[test]
     fn blocking_mode_solves_less_when_witnesses_dominate() {
         // C(x) = x ⊕ 01 against itself under N-N: every input mask is
-        // undone by the matching output mask, so ALL 2^n input masks are
-        // witnesses — blocking mode proves the lot in few solves while
-        // the sweep pays one UNSAT per witness.
+        // undone by the matching output mask, so 4 of the 16 candidates
+        // are witnesses. Blocking mode proves the lot in fewer solves than
+        // there are candidates; the replayed sweep pays one UNSAT per
+        // witness plus one SAT per distinguishing input it had to find,
+        // and refutes every other non-witness by simulation.
         let c = NegationMask::new(0b01, 2).unwrap().to_circuit();
-        let sweep = enumerate_witnesses_sat_with(
-            &c,
-            &c,
-            WitnessFamily::BothNegations,
-            SolverBackend::Cdcl,
-            EnumerationStrategy::AssumptionSweep,
-        )
-        .unwrap();
+        let miter = FamilyMiter::build(&c, &c, WitnessFamily::BothNegations).unwrap();
+        let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(miter.layout.input_hint());
+        let mut replay = Counterexamples::new();
+        let sweep = sweep_family(&mut solver, &miter.layout, &c, &c, &mut replay, None).unwrap();
         let blocking = enumerate_witnesses_sat_with(
             &c,
             &c,
@@ -900,11 +1142,17 @@ mod tests {
         assert_eq!(sweep.count(), 4, "one valid output mask per input mask");
         assert_eq!(blocking.witnesses, sweep.witnesses);
         assert!(
-            blocking.solves < sweep.solves,
-            "blocking ({}) must beat the sweep ({}) on witness-dense families",
+            blocking.solves < blocking.candidates,
+            "blocking ({}) must beat one solve per candidate ({})",
             blocking.solves,
-            sweep.solves
+            blocking.candidates
         );
+        assert_eq!(
+            sweep.solves,
+            sweep.count() + replay.len() as u64,
+            "every sweep solve is a witness proof or a new distinguishing input"
+        );
+        assert_eq!(sweep.decided(), sweep.candidates);
         // And the count agrees with the existing truth-table counter.
         let brute =
             crate::matchers::count_witnesses(&c, &c, Equivalence::new(Side::N, Side::N)).unwrap();
@@ -934,7 +1182,9 @@ mod tests {
             FamilyMiter::build(&very_wide, &very_wide, WitnessFamily::InputPermutation),
             Err(MatchError::EnumerationTooWide { .. })
         ));
-        let miter = FamilyMiter::build(&a, &a, WitnessFamily::InputNegation).unwrap();
+        let miter = FamilyMiter::build(&a, &a, WitnessFamily::InputNegation)
+            .unwrap()
+            .layout;
         let perm_candidate =
             MatchWitness::input_permutation(LinePermutation::new(vec![1, 0, 2]).unwrap());
         assert!(matches!(
@@ -956,15 +1206,24 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let inst = random_instance(Equivalence::new(Side::N, Side::I), 5, &mut rng);
         let miter = FamilyMiter::build(&inst.c1, &inst.c2, WitnessFamily::InputNegation).unwrap();
-        let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(miter.input_hint());
-        let cold = sweep_family(&mut solver, &miter, None).unwrap();
+        let layout = miter.layout;
+        let (c1, c2) = (&inst.c1, &inst.c2);
+        let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(layout.input_hint());
+        let mut replay = Counterexamples::new();
+        let cold = sweep_family(&mut solver, &layout, c1, c2, &mut replay, None).unwrap();
         assert!(cold.witnesses.contains(&inst.witness));
-        let warm = sweep_family(&mut solver, &miter, None).unwrap();
+        let warm = sweep_family(&mut solver, &layout, c1, c2, &mut replay, None).unwrap();
         assert_eq!(warm.witnesses, cold.witnesses);
+        assert_eq!(warm.decided(), cold.decided(), "rounds ignore warmth");
+        assert!(
+            warm.solves <= cold.solves,
+            "a warm replay store never adds solves"
+        );
         // A zero budget aborts with Inconclusive instead of guessing —
         // unless the learned state answers every candidate by propagation.
-        let mut fresh = CdclSolver::new(&miter.cnf).with_branch_hint(miter.input_hint());
-        match sweep_family(&mut fresh, &miter, Some(0)) {
+        let mut fresh = CdclSolver::new(&miter.cnf).with_branch_hint(layout.input_hint());
+        let mut empty = Counterexamples::new();
+        match sweep_family(&mut fresh, &layout, c1, c2, &mut empty, Some(0)) {
             Err(MatchError::Inconclusive) => {}
             Ok(out) => assert_eq!(out.witnesses, cold.witnesses),
             Err(other) => panic!("unexpected error: {other}"),

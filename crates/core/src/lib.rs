@@ -133,7 +133,8 @@ pub use engine::{
 };
 pub use enumerate::{
     count_witnesses_sat, enumerate_witnesses_sat, enumerate_witnesses_sat_with, sweep_family,
-    EnumerationStrategy, FamilyMiter, WitnessEnumeration, WitnessFamily,
+    Counterexamples, EnumerationStrategy, FamilyLayout, FamilyMiter, WitnessEnumeration,
+    WitnessFamily,
 };
 pub use equivalence::{Equivalence, Side};
 pub use error::MatchError;

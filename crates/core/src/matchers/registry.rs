@@ -426,7 +426,8 @@ const SAT_ENTRY_BUDGET: usize = 2_000_000;
 
 /// Body of the white-box enumeration entries: sweep the family on the
 /// incremental solver and report the first witness of the deterministic
-/// candidate order (no oracle queries; `rounds` counts solver calls).
+/// candidate order (no oracle queries; `rounds` counts the candidates
+/// decided — solver calls plus counterexample-replay refutations).
 fn run_enumeration_entry(
     oracles: &ProblemOracles<'_>,
     family: crate::enumerate::WitnessFamily,
@@ -443,7 +444,7 @@ fn run_enumeration_entry(
         witness,
         queries: 0,
         charged_queries: 0,
-        rounds: found.solves,
+        rounds: found.decided(),
         verdict: Verdict::Definitive,
     })
 }

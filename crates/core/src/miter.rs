@@ -34,7 +34,9 @@
 //! Callers that solve the *same* miter repeatedly (the serving layer's
 //! per-shard verification cache) should build a [`MiterEncoding`] once
 //! and keep a [`revmatch_sat::CdclSolver`] on its formula: learned
-//! clauses persist across calls, so re-verdicts are near-free.
+//! clauses persist across calls, so re-verdicts are near-free. The
+//! solver owns the clauses, so such a caller can drop the formula and
+//! keep only [`MiterEncoding::inputs`] to decode verdicts.
 
 use revmatch_circuit::Circuit;
 use revmatch_sat::{BudgetedSolve, Clause, Cnf, Lit, SolveStats, SolverBackend, Var};
@@ -276,8 +278,9 @@ pub fn check_equivalence_sat_budgeted_with(
 ///
 /// This is the reuse-friendly handle for callers that keep solver state
 /// across repeated verdicts on the same circuit pair (the serving
-/// layer's per-shard solver cache keys on the full [`MiterEncoding::cnf`]
-/// formula, compared by equality so a wrong solver can never be reused).
+/// layer's per-shard solver cache keys its entries by the miter's
+/// inputs — circuits and witness — and keeps only the solver, which owns
+/// the clauses).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiterEncoding {
     /// The miter formula: satisfiable exactly on distinguishing inputs.
@@ -303,28 +306,44 @@ impl MiterEncoding {
 
     /// Decodes the shared input pattern from a model of the miter.
     pub fn decode_input(&self, model: &[bool]) -> u64 {
-        let mut input = 0u64;
-        for (i, &b) in model.iter().take(self.inputs).enumerate() {
-            if b {
-                input |= 1 << i;
-            }
-        }
-        input
+        decode_input(model, self.inputs)
     }
 
     /// Converts a budgeted solver verdict on this formula into a
     /// [`MiterVerdict`].
     pub fn verdict_from(&self, verdict: BudgetedSolve, stats: SolveStats) -> MiterVerdict {
-        match verdict {
-            BudgetedSolve::Unsat => MiterVerdict::Equivalent,
-            BudgetedSolve::Sat(model) => MiterVerdict::Counterexample {
-                input: self.decode_input(&model),
-            },
-            BudgetedSolve::Unknown => MiterVerdict::Unknown {
-                decisions: stats.decisions,
-                conflicts: stats.conflicts,
-            },
+        verdict_from(self.inputs, verdict, stats)
+    }
+}
+
+/// The input pattern carried by a model's first `inputs` variables —
+/// the shared inputs of every miter layout in this crate.
+pub(crate) fn decode_input(model: &[bool], inputs: usize) -> u64 {
+    let mut input = 0u64;
+    for (i, &b) in model.iter().take(inputs).enumerate() {
+        if b {
+            input |= 1 << i;
         }
+    }
+    input
+}
+
+/// [`MiterEncoding::verdict_from`] for a caller that kept only the
+/// miter's shared input count (a cached solver owns the formula).
+pub(crate) fn verdict_from(
+    inputs: usize,
+    verdict: BudgetedSolve,
+    stats: SolveStats,
+) -> MiterVerdict {
+    match verdict {
+        BudgetedSolve::Unsat => MiterVerdict::Equivalent,
+        BudgetedSolve::Sat(model) => MiterVerdict::Counterexample {
+            input: decode_input(&model, inputs),
+        },
+        BudgetedSolve::Unknown => MiterVerdict::Unknown {
+            decisions: stats.decisions,
+            conflicts: stats.conflicts,
+        },
     }
 }
 

@@ -8,19 +8,24 @@
 //! * a **dense-table LRU** keyed by the exact circuit, so a repeated
 //!   circuit reuses its `2^width` lookup table instead of re-running the
 //!   compile sweep (the PR-2 ROADMAP follow-up);
-//! * a **CDCL solver LRU** keyed by the exact miter CNF, so repeated
-//!   SAT verification of the same circuit pair re-enters a solver that
-//!   already holds the learned refutation — the warm path answers from
-//!   the clause database.
+//! * two **miter LRUs** keyed by the miter's *inputs*, not its formula:
+//!   `(kind, C1, C2, family)` for enumeration sweeps and
+//!   `(kind, C1, C2, witness)` for sat jobs and witness verification.
+//!   Each [`MiterEntry`] holds the CDCL solver (which owns the clauses),
+//!   the variable layout that drives it and the [`Counterexamples`]
+//!   replayed before each solve. The encoded formula is not retained: a
+//!   warm hit skips the encoding entirely, and the clauses live only in
+//!   the solver that already holds the learned refutations.
 //!
 //! Keys are compared by full equality (not hash), so a collision can
 //! never hand back the wrong table or solver. Table reuse is purely a
 //! speed layer — oracle answers are bit-identical with or without it.
-//! Solver reuse never changes a *completed* verdict either (any verdict
-//! returned is correct), but under a per-verification budget a warm
-//! solver may **resolve** a formula the cold solver had to leave
-//! `Unknown`: its retained learned clauses amount to a head start, so
-//! budget-limited outcomes can improve (never degrade, never flip
+//! Miter reuse never changes a *completed* verdict either: a replayed
+//! counterexample is the one the entry's first solve found, and a
+//! witness is only ever accepted on UNSAT. Under a per-verification
+//! budget a warm solver may **resolve** a formula the cold solver had to
+//! leave `Unknown`: its retained learned clauses amount to a head start,
+//! so budget-limited outcomes can improve (never degrade, never flip
 //! between definitive answers) with cache warmth. Caches are
 //! worker-local (no sharing, no locks): shard affinity is what makes
 //! them hit.
@@ -32,8 +37,11 @@ use revmatch_circuit::{Circuit, DenseTable, DENSE_MAX_WIDTH};
 use revmatch_sat::{CdclSolver, Cnf, SatOptions};
 
 use crate::engine::JobKind;
+use crate::enumerate::{Counterexamples, FamilyLayout, FamilyMiter, WitnessFamily};
+use crate::error::MatchError;
 use crate::miter::MiterEncoding;
 use crate::oracle::Oracle;
+use crate::witness::MatchWitness;
 
 /// Resident cost of one cached dense table (`2^width` entries of 8 B).
 fn table_cost(table: &Arc<DenseTable>) -> usize {
@@ -83,26 +91,27 @@ impl<K: PartialEq, V> Lru<K, V> {
     /// Returns the cached value whose key satisfies `probe` (moved to
     /// front), or builds the `(key, value)` entry, inserts and returns
     /// it, evicting from the cold end until the total cost fits the
-    /// budget (the newest entry always stays). The flag reports a hit.
-    /// Taking a predicate instead of an owned key keeps the hit path
-    /// allocation-free for expensive keys (circuits, formulas).
-    fn get_or_insert_with(
+    /// budget (the newest entry always stays). The flag reports a hit; a
+    /// failed build inserts nothing. Taking a predicate instead of an
+    /// owned key keeps the hit path allocation-free for expensive keys
+    /// (circuits).
+    fn get_or_try_insert_with<E>(
         &mut self,
         probe: impl Fn(&K) -> bool,
-        make: impl FnOnce() -> (K, V),
-    ) -> (&mut V, bool) {
+        make: impl FnOnce() -> Result<(K, V), E>,
+    ) -> Result<(&mut V, bool), E> {
         if let Some(i) = self.entries.iter().position(|(k, _)| probe(k)) {
             self.entries[..=i].rotate_right(1);
-            return (&mut self.entries[0].1, true);
+            return Ok((&mut self.entries[0].1, true));
         }
-        let (key, value) = make();
+        let (key, value) = make()?;
         self.total += (self.cost)(&value);
         self.entries.insert(0, (key, value));
         while self.total > self.budget && self.entries.len() > 1 {
             let (_, evicted) = self.entries.pop().expect("len > 1");
             self.total -= (self.cost)(&evicted);
         }
-        (&mut self.entries[0].1, false)
+        Ok((&mut self.entries[0].1, false))
     }
 
     #[cfg(test)]
@@ -110,6 +119,22 @@ impl<K: PartialEq, V> Lru<K, V> {
         self.entries.len()
     }
 }
+
+/// One cached miter — see the [module docs](self). `L` is the layout
+/// that drives the solver: a [`FamilyLayout`] for enumeration sweeps,
+/// the shared input count for witness miters.
+#[derive(Debug)]
+pub(crate) struct MiterEntry<L> {
+    /// The solver owning the miter's clauses and everything it learned.
+    pub solver: CdclSolver,
+    /// Where the miter's inputs (and selectors) sit among its variables.
+    pub layout: L,
+    /// Distinguishing inputs found by earlier solves of this miter.
+    pub replay: Counterexamples,
+}
+
+/// A miter-cache key: the job kind and what the miter encodes.
+type MiterKey<S> = (JobKind, Circuit, Circuit, S);
 
 /// Per-worker memoization state — see the [module docs](self).
 #[derive(Debug)]
@@ -121,7 +146,8 @@ pub(crate) struct ShardCaches {
     /// and one kind's churn cannot evict another kind's working set
     /// through shard-stolen work.
     tables: Lru<(JobKind, Circuit), Arc<DenseTable>>,
-    solvers: Lru<(JobKind, Cnf), CdclSolver>,
+    family_miters: Lru<MiterKey<WitnessFamily>, MiterEntry<FamilyLayout>>,
+    witness_miters: Lru<MiterKey<MatchWitness>, MiterEntry<usize>>,
     /// CDCL feature set stamped onto every solver this worker builds
     /// (the service's [`revmatch_sat::SatOptions`] selection).
     sat_opts: SatOptions,
@@ -132,17 +158,18 @@ pub(crate) struct ShardCaches {
 /// would thrash on cyclic pools of small circuits — the loadgen's exact
 /// access pattern.
 const TABLE_CACHE_BYTES: usize = 16 << 20;
-/// Miter solvers kept per worker (each owns its clause database). Sized
-/// above the loadgen pool's per-shard miter-family count: a cyclic
-/// workload over more families than the capacity would never hit
-/// (sequential scans are LRU's worst case).
+/// Miter entries kept per worker in each miter LRU (each owns its clause
+/// database). Sized above the loadgen pool's per-shard miter-family
+/// count: a cyclic workload over more families than the capacity would
+/// never hit (sequential scans are LRU's worst case).
 const SOLVER_CACHE_CAP: usize = 32;
 
 impl ShardCaches {
     pub fn new(sat_opts: SatOptions) -> Self {
         Self {
             tables: Lru::new(TABLE_CACHE_BYTES, table_cost),
-            solvers: Lru::new(SOLVER_CACHE_CAP, |_| 1),
+            family_miters: Lru::new(SOLVER_CACHE_CAP, |_| 1),
+            witness_miters: Lru::new(SOLVER_CACHE_CAP, |_| 1),
             sat_opts,
         }
     }
@@ -159,13 +186,13 @@ impl ShardCaches {
             return (Oracle::new(circuit), TableProbe::BYPASS);
         }
         let mut compile = None;
-        let (table, hit) = self.tables.get_or_insert_with(
+        let Ok((table, hit)) = self.tables.get_or_try_insert_with(
             |(k, c)| *k == kind && *c == circuit,
             || {
                 let (table, took) = DenseTable::compile_timed(&circuit)
                     .expect("width checked against DENSE_MAX_WIDTH");
                 compile = Some(took);
-                ((kind, circuit.clone()), Arc::new(table))
+                Ok::<_, std::convert::Infallible>(((kind, circuit.clone()), Arc::new(table)))
             },
         );
         let table = Arc::clone(table);
@@ -175,35 +202,68 @@ impl ShardCaches {
         )
     }
 
-    /// A CDCL solver owning `miter`'s formula, input-hinted, reused (with
-    /// its learned clauses) when this worker has verified the same
-    /// `(kind, miter)` before. The flag reports a solver-cache hit.
-    pub fn solver_for(&mut self, kind: JobKind, miter: &MiterEncoding) -> (&mut CdclSolver, bool) {
-        self.solver_for_cnf(kind, &miter.cnf, || miter.input_hint())
-    }
-
-    /// The generalized form of [`ShardCaches::solver_for`]: a cached CDCL
-    /// solver for any `(kind, formula)` key — witness-family miters reuse
-    /// it so one solver's learned clauses serve a whole family *across
-    /// jobs*, not just across a single job's candidates (assumption-based
-    /// solving leaves the cached solver clean; blocking clauses would
-    /// not, which is why the service sweeps with assumptions).
-    pub fn solver_for_cnf(
+    /// The cached family miter of `(c1, c2, family)` for a `kind` job —
+    /// its input-hinted solver, layout and replay store — encoding it
+    /// only on a miss. The flag reports a hit.
+    ///
+    /// # Errors
+    ///
+    /// [`FamilyMiter::build`]'s errors on a miss; nothing is cached.
+    pub fn family_miter(
         &mut self,
         kind: JobKind,
-        cnf: &Cnf,
-        hint: impl FnOnce() -> Vec<usize>,
-    ) -> (&mut CdclSolver, bool) {
+        c1: &Circuit,
+        c2: &Circuit,
+        family: WitnessFamily,
+    ) -> Result<(&mut MiterEntry<FamilyLayout>, bool), MatchError> {
         let opts = self.sat_opts;
-        self.solvers.get_or_insert_with(
-            |(k, cached)| *k == kind && *cached == *cnf,
+        self.family_miters.get_or_try_insert_with(
+            |(k, a, b, f)| *k == kind && *f == family && a == c1 && b == c2,
             || {
-                let solver = CdclSolver::new(cnf)
-                    .with_options(opts)
-                    .with_branch_hint(hint());
-                ((kind, cnf.clone()), solver)
+                let FamilyMiter { cnf, layout } = FamilyMiter::build(c1, c2, family)?;
+                let entry = MiterEntry::new(&cnf, opts, layout, layout.input_hint());
+                Ok(((kind, c1.clone(), c2.clone(), family), entry))
             },
         )
+    }
+
+    /// The cached miter of `c1` against `witness ∘ c2 ∘ witness` for a
+    /// `kind` job (sat jobs and witness verification), encoding it only
+    /// on a miss. The flag reports a hit.
+    ///
+    /// # Errors
+    ///
+    /// [`MiterEncoding::build`]'s errors on a miss; nothing is cached.
+    pub fn witness_miter(
+        &mut self,
+        kind: JobKind,
+        c1: &Circuit,
+        c2: &Circuit,
+        witness: &MatchWitness,
+    ) -> Result<(&mut MiterEntry<usize>, bool), MatchError> {
+        let opts = self.sat_opts;
+        self.witness_miters.get_or_try_insert_with(
+            |(k, a, b, w)| *k == kind && a == c1 && b == c2 && w == witness,
+            || {
+                let miter = MiterEncoding::build(c1, c2, witness)?;
+                let entry = MiterEntry::new(&miter.cnf, opts, miter.inputs, miter.input_hint());
+                Ok(((kind, c1.clone(), c2.clone(), witness.clone()), entry))
+            },
+        )
+    }
+}
+
+impl<L> MiterEntry<L> {
+    /// A cold entry: a fresh solver on `cnf` (which the caller then
+    /// drops) and an empty replay store.
+    fn new(cnf: &Cnf, opts: SatOptions, layout: L, hint: Vec<usize>) -> Self {
+        Self {
+            solver: CdclSolver::new(cnf)
+                .with_options(opts)
+                .with_branch_hint(hint),
+            layout,
+            replay: Counterexamples::new(),
+        }
     }
 }
 
@@ -211,13 +271,14 @@ impl ShardCaches {
 mod tests {
     use super::*;
     use crate::oracle::ClassicalOracle;
-    use crate::witness::MatchWitness;
     use rand::SeedableRng;
     use revmatch_circuit::{random_circuit, RandomCircuitSpec};
 
     /// Probe/insert shorthand for the integer-keyed Lru tests.
     fn probe(lru: &mut Lru<u32, usize>, key: u32, value: usize) -> bool {
-        lru.get_or_insert_with(|k| *k == key, || (key, value)).1
+        lru.get_or_try_insert_with(|k| *k == key, || Ok::<_, ()>((key, value)))
+            .unwrap()
+            .1
     }
 
     #[test]
@@ -303,14 +364,65 @@ mod tests {
             revmatch_circuit::SynthesisStrategy::Basic,
         )
         .unwrap();
-        let miter = MiterEncoding::build(&c, &resynth, &MatchWitness::identity(c.width())).unwrap();
+        let id = MatchWitness::identity(c.width());
         let mut caches = ShardCaches::new(SatOptions::default());
-        let (solver, hit) = caches.solver_for(JobKind::Promise, &miter);
+        let (entry, hit) = caches
+            .witness_miter(JobKind::Promise, &c, &resynth, &id)
+            .unwrap();
         assert!(!hit);
-        assert_eq!(solver.solve(), revmatch_sat::Solve::Unsat);
-        let (solver, hit) = caches.solver_for(JobKind::Promise, &miter);
+        assert_eq!(entry.layout, c.width());
+        assert_eq!(entry.solver.solve(), revmatch_sat::Solve::Unsat);
+        let (entry, hit) = caches
+            .witness_miter(JobKind::Promise, &c, &resynth, &id)
+            .unwrap();
         assert!(hit);
-        assert_eq!(solver.solve(), revmatch_sat::Solve::Unsat);
-        assert_eq!(solver.conflicts(), 0, "warm verdict must be cached");
+        assert_eq!(entry.solver.solve(), revmatch_sat::Solve::Unsat);
+        assert_eq!(entry.solver.conflicts(), 0, "warm verdict must be cached");
+        // The key is the miter's inputs: another kind, witness or
+        // circuit order is another entry.
+        let neg = MatchWitness::input_negation(revmatch_circuit::NegationMask::new(1, 5).unwrap());
+        for (kind, a, b, w) in [
+            (JobKind::Sat, &c, &resynth, &id),
+            (JobKind::Promise, &resynth, &c, &id),
+            (JobKind::Promise, &c, &resynth, &neg),
+        ] {
+            assert!(!caches.witness_miter(kind, a, b, w).unwrap().1);
+        }
+    }
+
+    #[test]
+    fn family_entries_are_keyed_by_family_and_skip_failed_builds() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let inst = crate::promise::random_instance(
+            WitnessFamily::InputNegation.equivalence(),
+            4,
+            &mut rng,
+        );
+        let (c1, c2) = (&inst.c1, &inst.c2);
+        let mut caches = ShardCaches::new(SatOptions::default());
+        let kind = JobKind::Enumerate;
+        let (entry, hit) = caches
+            .family_miter(kind, c1, c2, WitnessFamily::InputNegation)
+            .unwrap();
+        assert!(!hit);
+        assert_eq!(entry.layout.family(), WitnessFamily::InputNegation);
+        let (_, hit) = caches
+            .family_miter(kind, c1, c2, WitnessFamily::InputNegation)
+            .unwrap();
+        assert!(hit);
+        let (entry, hit) = caches
+            .family_miter(kind, c1, c2, WitnessFamily::OutputNegation)
+            .unwrap();
+        assert!(!hit, "another family is another miter");
+        assert_eq!(entry.layout.family(), WitnessFamily::OutputNegation);
+        // A width mismatch fails to encode and leaves no entry behind.
+        let narrow = Circuit::new(3);
+        for _ in 0..2 {
+            assert!(matches!(
+                caches.family_miter(kind, c1, &narrow, WitnessFamily::InputNegation),
+                Err(MatchError::WidthMismatch { .. })
+            ));
+        }
+        assert_eq!(caches.family_miters.len(), 2);
     }
 }

@@ -20,6 +20,7 @@ use revmatch_quantum::QuantumBackend;
 use revmatch_sat::CdclSolver;
 
 use crate::engine::JobKind;
+use crate::enumerate::WitnessEnumeration;
 
 /// Number of [`JobKind`]s — sizes the dense per-kind metric arrays.
 const KINDS: usize = JobKind::ALL.len();
@@ -288,6 +289,10 @@ pub struct Metrics {
     solver_cache_hits: AtomicU64,
     /// Family witnesses found across completed enumeration jobs.
     enumerated_witnesses: AtomicU64,
+    /// Solver calls spent by completed enumeration jobs.
+    enumerate_sat_solves: AtomicU64,
+    /// Enumeration candidates refuted by counterexample replay.
+    enumerate_replay_refutations: AtomicU64,
     /// Completions per [`JobKind`], indexed by `JobKind::index`.
     completed_by_kind: [AtomicU64; KINDS],
     /// Failures per [`JobKind`], indexed by `JobKind::index`.
@@ -350,6 +355,8 @@ impl Metrics {
             table_cache_hits: AtomicU64::new(0),
             solver_cache_hits: AtomicU64::new(0),
             enumerated_witnesses: AtomicU64::new(0),
+            enumerate_sat_solves: AtomicU64::new(0),
+            enumerate_replay_refutations: AtomicU64::new(0),
             completed_by_kind: std::array::from_fn(|_| AtomicU64::new(0)),
             failed_by_kind: std::array::from_fn(|_| AtomicU64::new(0)),
             latency_by_kind: std::array::from_fn(|_| Histogram::new(latency_bounds())),
@@ -527,10 +534,15 @@ impl Metrics {
         self.quantum_by_backend[backend.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts the witnesses found by one completed enumeration job.
-    pub(crate) fn record_enumeration(&self, witnesses: u64) {
+    /// Counts the witnesses, solver calls and replay refutations of one
+    /// completed enumeration job.
+    pub(crate) fn record_enumeration(&self, found: &WitnessEnumeration) {
         self.enumerated_witnesses
-            .fetch_add(witnesses, Ordering::Relaxed);
+            .fetch_add(found.count(), Ordering::Relaxed);
+        self.enumerate_sat_solves
+            .fetch_add(found.solves, Ordering::Relaxed);
+        self.enumerate_replay_refutations
+            .fetch_add(found.refuted, Ordering::Relaxed);
     }
 
     /// Counts one successful run of a named registry entry.
@@ -661,6 +673,19 @@ impl Metrics {
     /// Family witnesses found across completed enumeration jobs.
     pub fn enumerated_witnesses(&self) -> u64 {
         self.enumerated_witnesses.load(Ordering::Relaxed)
+    }
+
+    /// Solver calls spent by completed enumeration jobs.
+    pub fn enumerate_sat_solves(&self) -> u64 {
+        self.enumerate_sat_solves.load(Ordering::Relaxed)
+    }
+
+    /// Enumeration candidates refuted by replaying a stored
+    /// counterexample instead of a solver call. With
+    /// [`Metrics::enumerate_sat_solves`] it sums to the candidates the
+    /// completed enumeration jobs decided (their `rounds`).
+    pub fn enumerate_replay_refutations(&self) -> u64 {
+        self.enumerate_replay_refutations.load(Ordering::Relaxed)
     }
 
     /// Completions of one registry entry (by its stable matcher name),
@@ -831,6 +856,16 @@ impl Metrics {
                 "revmatch_enumerated_witnesses_total",
                 "Family witnesses found across completed enumeration jobs.",
                 self.enumerated_witnesses(),
+            ),
+            (
+                "revmatch_enumerate_sat_solves_total",
+                "Solver calls spent by completed enumeration jobs.",
+                self.enumerate_sat_solves(),
+            ),
+            (
+                "revmatch_enumerate_replay_refutations_total",
+                "Enumeration candidates refuted by counterexample replay, without a solver call.",
+                self.enumerate_replay_refutations(),
             ),
         ];
         for (name, help, value) in counters {

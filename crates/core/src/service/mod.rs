@@ -93,14 +93,18 @@ use crate::engine::{
     EngineJob, EnumerateJob, IdentifyJob, JobKind, JobReport, JobSpec, QuantumAlgorithm,
     QuantumPathJob, SatEquivalenceJob,
 };
-use crate::enumerate::{sweep_family, sweep_family_dpll, FamilyMiter, WitnessFamily};
+use crate::enumerate::{
+    sweep_family, sweep_family_dpll, Counterexamples, FamilyMiter, WitnessFamily,
+};
 use crate::equivalence::Equivalence;
 use crate::error::MatchError;
 use crate::identify::{identify_equivalence_with_oracles, IdentifyOptions};
 use crate::matchers::{
     solve_promise_named, InverseAvailability, MatcherConfig, MatcherRegistry, Path, ProblemOracles,
 };
-use crate::miter::{check_witness_sat_budgeted_with, MiterEncoding, MiterVerdict};
+use crate::miter::{
+    check_witness_sat_budgeted_with, verdict_from as miter_verdict_from, MiterVerdict,
+};
 use crate::observe::{Detail, JobTiming, SpanRecord, Stage, TraceConfig, Tracer};
 use crate::oracle::Oracle;
 use crate::verify::VerifyMode;
@@ -816,13 +820,18 @@ impl Shared {
     }
 
     /// Witness enumeration: sweep the whole candidate family under
-    /// assumptions on one CDCL solver. The solver is cached per
-    /// `(kind, family formula)` — a repeated family re-enters a solver
-    /// whose learned clauses already cover every candidate, so warm
-    /// re-enumerations answer mostly by propagation. (Assumptions never
-    /// poison the cache; this is why the service sweeps instead of
-    /// running blocking-clause mode.) The DPLL backend falls back to the
-    /// stateless per-candidate sweep for differential runs.
+    /// assumptions on one CDCL solver, replaying stored counterexamples
+    /// before each solve. The worker caches the solver, its layout and
+    /// its replay store per `(kind, C1, C2, family)` — a warm job skips
+    /// the encoding, refutes the non-witnesses by simulation and pays a
+    /// solve only for the witnesses, whose UNSAT proofs the learned
+    /// clauses make near-free. (Assumptions never poison the cache; this
+    /// is why the service sweeps instead of running blocking-clause
+    /// mode.) `rounds` is the number of candidates decided — solves plus
+    /// replay refutations, i.e. the candidate count — so the report does
+    /// not depend on cache warmth. The DPLL backend falls back to the
+    /// stateless per-candidate sweep (with a per-job replay store) for
+    /// differential runs.
     fn execute_enumerate(
         &self,
         job: EnumerateJob,
@@ -832,30 +841,36 @@ impl Shared {
         let kind = JobKind::Enumerate;
         obs.detail = Detail::solver(self.solver_backend);
         let family = job.family;
-        let outcome = FamilyMiter::build(&job.c1, &job.c2, family).and_then(|miter| {
-            match self.solver_backend {
-                SolverBackend::Cdcl => {
-                    let (solver, hit) =
-                        caches.solver_for_cnf(kind, &miter.cnf, || miter.input_hint());
-                    if hit {
-                        self.metrics.record_solver_cache_hit();
-                    }
-                    let before = SatCoreSample::of(solver);
-                    let swept = sweep_family(solver, &miter, Some(self.miter_budget));
-                    self.metrics
-                        .record_sat_core(before, SatCoreSample::of(solver));
-                    swept
-                }
-                // Stateless, but under the same per-solve budget: a hard
-                // family must surface as Inconclusive, not pin a shard.
-                SolverBackend::Dpll => sweep_family_dpll(&miter, Some(self.miter_budget)),
+        let (c1, c2) = (&job.c1, &job.c2);
+        let budget = Some(self.miter_budget);
+        let outcome = match self.solver_backend {
+            SolverBackend::Cdcl => {
+                caches
+                    .family_miter(kind, c1, c2, family)
+                    .and_then(|(entry, hit)| {
+                        if hit {
+                            self.metrics.record_solver_cache_hit();
+                        }
+                        let solver = &mut entry.solver;
+                        let before = SatCoreSample::of(solver);
+                        let swept =
+                            sweep_family(solver, &entry.layout, c1, c2, &mut entry.replay, budget);
+                        self.metrics
+                            .record_sat_core(before, SatCoreSample::of(solver));
+                        swept
+                    })
             }
-        });
+            // Stateless, but under the same per-solve budget: a hard
+            // family must surface as Inconclusive, not pin a shard.
+            SolverBackend::Dpll => FamilyMiter::build(c1, c2, family).and_then(|miter| {
+                sweep_family_dpll(&miter, c1, c2, &mut Counterexamples::new(), budget)
+            }),
+        };
         match outcome {
             Ok(found) => {
                 let count = found.count();
-                let solves = found.solves;
-                self.metrics.record_enumeration(count);
+                let rounds = found.decided();
+                self.metrics.record_enumeration(&found);
                 self.metrics
                     .record_entry_completion(enumeration_entry_name(family));
                 let witness = found
@@ -868,7 +883,7 @@ impl Shared {
                     witness,
                     queries: 0,
                     charged_queries: 0,
-                    rounds: solves,
+                    rounds,
                     identified: None,
                     witness_count: Some(count),
                     miter: None,
@@ -890,9 +905,11 @@ impl Shared {
     }
 
     /// Proves (or refutes) a recovered witness on the configured SAT
-    /// backend. CDCL runs warm through the worker's solver cache (keyed
-    /// by `(kind, formula)`): the same miter family re-enters a solver
-    /// that already holds the learned refutation.
+    /// backend. CDCL runs warm through the worker's miter cache (keyed by
+    /// `(kind, C1, C2, witness)`): a repeated check re-enters a solver
+    /// that already holds the learned refutation, and a repeated
+    /// non-equivalent check replays the counterexample its first solve
+    /// found instead of solving again.
     fn verify_witness(
         &self,
         kind: JobKind,
@@ -909,23 +926,32 @@ impl Shared {
                 .expect("a solved job's circuits share a width")
             }
             SolverBackend::Cdcl => {
-                let miter = MiterEncoding::build(c1, c2, witness)
+                let (entry, hit) = caches
+                    .witness_miter(kind, c1, c2, witness)
                     .expect("a solved job's circuits share a width");
-                let (solver, hit) = caches.solver_for(kind, &miter);
                 if hit {
                     self.metrics.record_solver_cache_hit();
                 }
-                let before = SatCoreSample::of(solver);
-                solver.set_budget(Some(self.miter_budget));
-                let outcome = solver.solve_budgeted();
-                let stats = SolveStats {
-                    decisions: solver.decisions(),
-                    conflicts: solver.conflicts(),
-                    propagations: solver.propagations(),
-                };
-                self.metrics
-                    .record_sat_core(before, SatCoreSample::of(solver));
-                miter.verdict_from(outcome, stats)
+                if let Some(input) = entry.replay.refute(witness, c2) {
+                    MiterVerdict::Counterexample { input }
+                } else {
+                    let solver = &mut entry.solver;
+                    let before = SatCoreSample::of(solver);
+                    solver.set_budget(Some(self.miter_budget));
+                    let outcome = solver.solve_budgeted();
+                    let stats = SolveStats {
+                        decisions: solver.decisions(),
+                        conflicts: solver.conflicts(),
+                        propagations: solver.propagations(),
+                    };
+                    self.metrics
+                        .record_sat_core(before, SatCoreSample::of(solver));
+                    let verdict = miter_verdict_from(entry.layout, outcome, stats);
+                    if let MiterVerdict::Counterexample { input } = verdict {
+                        entry.replay.record(input, c1);
+                    }
+                    verdict
+                }
             }
         };
         self.metrics.record_sat_verify(verdict.is_unknown());

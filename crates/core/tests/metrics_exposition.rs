@@ -7,7 +7,8 @@ use std::collections::BTreeMap;
 
 use rand::SeedableRng;
 use revmatch::{
-    job_seed, random_instance, EngineJob, Equivalence, JobSpec, MatchService, ServiceConfig, Side,
+    job_seed, random_instance, EngineJob, EnumerateJob, Equivalence, JobSpec, MatchService,
+    ServiceConfig, Side, WitnessFamily,
 };
 
 /// One parsed sample: metric name, raw label string (`{}`-less, may be
@@ -299,6 +300,8 @@ fn exposition_parses_and_is_internally_consistent() {
         "revmatch_sat_gauss_rows_installed_total",
         "revmatch_sat_inprocess_runs_total",
         "revmatch_sat_inprocess_seconds_total",
+        "revmatch_enumerate_sat_solves_total",
+        "revmatch_enumerate_replay_refutations_total",
     ] {
         assert!(value_of(&first, series, "") >= 0.0, "{series} negative");
     }
@@ -348,5 +351,38 @@ fn exposition_parses_and_is_internally_consistent() {
             s.value
         );
     }
+    service.shutdown();
+}
+
+/// The enumeration replay series round-trip with the values the jobs
+/// reported: exported solver calls plus replay refutations equal the
+/// summed `rounds` (candidates decided), and a repeated family is
+/// answered mostly by replay.
+#[test]
+fn enumerate_replay_series_add_up_to_rounds() {
+    let service = MatchService::start(ServiceConfig::default().with_shards(1));
+    let family = WitnessFamily::InputNegation;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xE49);
+    let jobs: Vec<EnumerateJob> = (0..3)
+        .map(|_| {
+            let inst = random_instance(family.equivalence(), 5, &mut rng);
+            EnumerateJob::new(inst.c1, inst.c2, family)
+        })
+        .collect();
+    let mut rounds = 0;
+    for (i, job) in jobs.iter().chain(&jobs).enumerate() {
+        let report = service
+            .submit_wait_seeded(JobSpec::Enumerate(job.clone()), job_seed(4, i as u64))
+            .wait();
+        assert!(report.witness_count.unwrap_or(0) >= 1);
+        rounds += report.rounds;
+    }
+    service.drain();
+    let exp = parse(&service.metrics_text());
+    let solves = value_of(&exp, "revmatch_enumerate_sat_solves_total", "");
+    let refuted = value_of(&exp, "revmatch_enumerate_replay_refutations_total", "");
+    assert_eq!(solves + refuted, rounds as f64);
+    assert_eq!(rounds, 6 * family.candidate_count(5));
+    assert!(refuted > solves, "replay must answer most non-witnesses");
     service.shutdown();
 }

@@ -14,9 +14,10 @@ use revmatch_circuit::{NegationMask, NpTransform};
 use revmatch_sat::{random_ksat, AssumedSolve, CdclSolver, Lit, Solve, Var};
 
 use revmatch::{
-    job_seed, random_instance, random_wide_instance, sweep_family, EnumerateJob, Equivalence,
-    FamilyMiter, JobSpec, MatchError, MatchService, MatchWitness, MiterEncoding, MiterVerdict,
-    PromiseInstance, SatEquivalenceJob, SatOptions, ServiceConfig, Side, WitnessFamily,
+    job_seed, random_instance, random_wide_instance, sweep_family, Counterexamples, EnumerateJob,
+    Equivalence, FamilyMiter, JobSpec, MatchError, MatchService, MatchWitness, MiterEncoding,
+    MiterVerdict, PromiseInstance, SatEquivalenceJob, SatOptions, ServiceConfig, Side,
+    WitnessFamily,
 };
 
 /// Conflicts between inprocessing passes after the first solve call
@@ -104,7 +105,7 @@ fn family_solver(planted: &PromiseInstance, family: WitnessFamily) -> (FamilyMit
     let miter = FamilyMiter::build(&planted.c1, &planted.c2, family).expect("encodable width");
     let solver = CdclSolver::new(&miter.cnf)
         .with_options(SatOptions::ALL)
-        .with_branch_hint(miter.input_hint());
+        .with_branch_hint(miter.layout.input_hint());
     (miter, solver)
 }
 
@@ -157,7 +158,10 @@ fn sat_options_and_sharding_are_verdict_invisible() {
     // The low-fill families really run with the Gauss layer installed.
     for (planted, family) in low_fill_families(0x9A7_0915) {
         let (miter, mut solver) = family_solver(&planted, family);
-        sweep_family(&mut solver, &miter, None).expect("planted family sweeps");
+        let (c1, c2) = (&planted.c1, &planted.c2);
+        let mut replay = Counterexamples::new();
+        sweep_family(&mut solver, &miter.layout, c1, c2, &mut replay, None)
+            .expect("planted family sweeps");
         assert!(
             solver.xor_rows() > 0,
             "{family:?} w{}: layer not installed",
@@ -252,7 +256,10 @@ fn gauss_layer_installs_only_where_elimination_stays_sparse() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(6);
     let planted = random_instance(WitnessFamily::InputNegation.equivalence(), 6, &mut rng);
     let (miter, mut solver) = family_solver(&planted, WitnessFamily::InputNegation);
-    let found = sweep_family(&mut solver, &miter, None).expect("planted family sweeps");
+    let (c1, c2) = (&planted.c1, &planted.c2);
+    let mut replay = Counterexamples::new();
+    let found = sweep_family(&mut solver, &miter.layout, c1, c2, &mut replay, None)
+        .expect("planted family sweeps");
     assert!(found.count() >= 1);
     assert!(
         solver.xors_extracted() > 0,
@@ -280,10 +287,14 @@ fn warm_family_sweeps_skip_inprocessing() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(6);
     let planted = random_instance(WitnessFamily::InputNegation.equivalence(), 6, &mut rng);
     let (miter, mut solver) = family_solver(&planted, WitnessFamily::InputNegation);
-    let cold = sweep_family(&mut solver, &miter, None).expect("planted family sweeps");
+    let (c1, c2) = (&planted.c1, &planted.c2);
+    let mut replay = Counterexamples::new();
+    let cold = sweep_family(&mut solver, &miter.layout, c1, c2, &mut replay, None)
+        .expect("planted family sweeps");
     let runs = solver.inprocess_runs();
     assert!(runs >= 1, "the first solve call always inprocesses");
-    let warm = sweep_family(&mut solver, &miter, None).expect("planted family sweeps");
+    let warm = sweep_family(&mut solver, &miter.layout, c1, c2, &mut replay, None)
+        .expect("planted family sweeps");
     assert_eq!(warm.witnesses, cold.witnesses);
     assert_eq!(solver.inprocess_runs(), runs, "a warm sweep ran a pass");
 }

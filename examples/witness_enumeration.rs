@@ -4,7 +4,9 @@
 //! 1. Library call: `enumerate_witnesses_sat` sweeps a whole candidate
 //!    family (here: all `2^n` input negation masks) with one incremental
 //!    CDCL solver — each candidate is a set of assumption literals, UNSAT
-//!    means "this mask is a witness".
+//!    means "this mask is a witness". Counterexamples found on earlier
+//!    candidates are replayed by simulation first, so most non-witnesses
+//!    never reach the solver.
 //! 2. Blocking-clause mode: the dual strategy — selectors left free,
 //!    each model's selector assignment blocked until the formula runs
 //!    dry. Same witness set, different solve count.
@@ -31,7 +33,8 @@ fn main() {
         w = width + 2
     );
 
-    // 1. Assumption sweep: one solver, 2^n solve_under calls.
+    // 1. Assumption sweep: one solver; 2^n candidates decided by
+    //    solve_under calls or counterexample replay.
     let sweep = enumerate_witnesses_sat_with(
         &inst.c1,
         &inst.c2,
@@ -41,11 +44,13 @@ fn main() {
     )
     .expect("width under the family cap");
     println!(
-        "assumption sweep: {} witness(es) among {} candidates in {} solves",
+        "assumption sweep: {} witness(es) among {} candidates in {} solves ({} refuted by replay)",
         sweep.count(),
         sweep.candidates,
-        sweep.solves
+        sweep.solves,
+        sweep.refuted
     );
+    assert_eq!(sweep.decided(), sweep.candidates);
     for w in &sweep.witnesses {
         println!("  witness: {w}");
     }
@@ -68,13 +73,15 @@ fn main() {
     );
 
     // 3. Through the serving layer, twice: the repeat hits the per-shard
-    //    solver cache and re-answers from learned clauses.
+    //    miter cache and re-answers from learned clauses and stored
+    //    counterexamples, with the same report.
     let service = MatchService::start(ServiceConfig::default().with_shards(2));
     let job = EnumerateJob::new(inst.c1.clone(), inst.c2.clone(), family);
     let first = service.submit_wait(job.clone()).wait();
     let second = service.submit_wait(job).wait();
     assert_eq!(first.witness_count, Some(sweep.count()));
     assert_eq!(second.witness_count, first.witness_count);
+    assert_eq!(second.rounds, first.rounds, "rounds ignore cache warmth");
     let m = service.metrics();
     println!(
         "service: {} enumerate jobs, {} witnesses counted, {} solver cache hit(s)",

@@ -12,10 +12,10 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use revmatch::{
     check_witness, count_witnesses_sat, job_seed, random_instance, EngineJob, EnumerateJob,
-    JobReport, JobSpec, JobTicket, MatchService, MatcherConfig, MiterVerdict, SatEquivalenceJob,
-    ServiceConfig, VerifyMode, WitnessFamily,
+    JobKind, JobReport, JobSpec, JobTicket, MatchService, MatcherConfig, MiterVerdict,
+    SatEquivalenceJob, ServiceConfig, VerifyMode, WitnessFamily,
 };
-use revmatch_circuit::Gate;
+use revmatch_circuit::{random_function_circuit, Gate};
 
 fn service(shards: usize) -> MatchService {
     MatchService::start(
@@ -27,14 +27,18 @@ fn service(shards: usize) -> MatchService {
 
 fn run_jobs(jobs: &[JobSpec], shards: usize, seed: u64) -> Vec<JobReport> {
     let svc = service(shards);
+    let reports = submit_all(&svc, jobs, seed);
+    svc.shutdown();
+    reports
+}
+
+fn submit_all(svc: &MatchService, jobs: &[JobSpec], seed: u64) -> Vec<JobReport> {
     let tickets: Vec<JobTicket> = jobs
         .iter()
         .enumerate()
         .map(|(i, job)| svc.submit_wait_seeded(job.clone(), job_seed(seed, i as u64)))
         .collect();
-    let reports = tickets.into_iter().map(JobTicket::wait).collect();
-    svc.shutdown();
-    reports
+    tickets.into_iter().map(JobTicket::wait).collect()
 }
 
 /// The tractable families (N-N has no classical matcher to agree with).
@@ -194,5 +198,99 @@ proptest! {
             count_witnesses_sat(&broken, &inst.c2, family).unwrap(),
             count
         );
+    }
+}
+
+/// Whether two reports carry the same answer: every field but timing.
+fn same_answer(a: &JobReport, b: &JobReport) -> bool {
+    a.kind == b.kind
+        && a.witness == b.witness
+        && a.queries == b.queries
+        && a.charged_queries == b.charged_queries
+        && a.rounds == b.rounds
+        && a.identified == b.identified
+        && a.witness_count == b.witness_count
+        && a.miter == b.miter
+}
+
+/// Counterexample replay and input-keyed miter caching are invisible in
+/// reports: the same enumerate and sat jobs answer identically cold, warm
+/// (a second pass on the same single worker, whose cached miters then
+/// hold learned clauses and stored counterexamples) and on two shards.
+/// Enumeration `rounds` is the candidate count however few solves the
+/// warm pass paid.
+#[test]
+fn reports_do_not_depend_on_cache_warmth() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x3A12);
+    let mut jobs = Vec::new();
+    for family in WitnessFamily::ALL {
+        for w in [3usize, 4] {
+            let inst = random_instance(family.equivalence(), w, &mut rng);
+            let unrelated = random_function_circuit(w, &mut rng);
+            for c1 in [&inst.c1, &unrelated] {
+                jobs.push(JobSpec::Enumerate(EnumerateJob::new(
+                    c1.clone(),
+                    inst.c2.clone(),
+                    family,
+                )));
+                // Equivalent on the planted pair; almost surely a
+                // counterexample on the unrelated one.
+                jobs.push(JobSpec::SatEquivalence(SatEquivalenceJob {
+                    c1: c1.clone(),
+                    c2: inst.c2.clone(),
+                    witness: Some(inst.witness.clone()),
+                }));
+            }
+        }
+    }
+    let svc = service(1);
+    let cold = submit_all(&svc, &jobs, 7);
+    let metrics = svc.metrics();
+    let cold_solves = metrics.enumerate_sat_solves();
+    let warm = submit_all(&svc, &jobs, 7);
+    let warm_solves = metrics.enumerate_sat_solves() - cold_solves;
+    assert_eq!(
+        metrics.solver_cache_hits(),
+        jobs.len() as u64,
+        "every second-pass job re-entered its cached miter"
+    );
+    let decided: u64 = cold.iter().chain(&warm).map(|r| r.rounds).sum();
+    assert_eq!(
+        metrics.enumerate_sat_solves() + metrics.enumerate_replay_refutations(),
+        decided,
+        "solves plus refutations add up to the reported rounds"
+    );
+    assert!(
+        warm_solves < cold_solves,
+        "the warm pass replays instead of solving ({warm_solves} vs {cold_solves})"
+    );
+    svc.shutdown();
+    let sharded = run_jobs(&jobs, 2, 7);
+
+    assert!(cold
+        .iter()
+        .any(|r| matches!(r.miter, Some(MiterVerdict::Counterexample { .. }))));
+    assert!(cold.iter().any(|r| r.witness_count == Some(0)));
+    for (i, job) in jobs.iter().enumerate() {
+        assert!(
+            same_answer(&cold[i], &warm[i]),
+            "job {i}: cold {:?} vs warm {:?}",
+            cold[i],
+            warm[i]
+        );
+        assert!(
+            same_answer(&cold[i], &sharded[i]),
+            "job {i}: one shard {:?} vs two {:?}",
+            cold[i],
+            sharded[i]
+        );
+        if let JobSpec::Enumerate(e) = job {
+            assert_eq!(cold[i].kind, JobKind::Enumerate);
+            assert_eq!(
+                cold[i].rounds,
+                e.family.candidate_count(e.c1.width()),
+                "job {i}: rounds must be the candidate count"
+            );
+        }
     }
 }
